@@ -1,5 +1,6 @@
 #include "reach/sym_remainder.hpp"
 
+#include <bit>
 #include <cassert>
 
 namespace dwv::reach::sym {
@@ -7,9 +8,26 @@ namespace dwv::reach::sym {
 using interval::Interval;
 using interval::IVec;
 
+namespace {
+
+// In-place forms of `m = IMat::identity(n)` and `v = IVec(n)`: same values,
+// but they reuse the existing storage.
+void set_identity(IMat& m, std::size_t n) {
+  m.n = n;
+  m.e.assign(n * n, Interval(0.0));
+  for (std::size_t i = 0; i < n; ++i) m.at(i, i) = Interval(1.0);
+}
+
+void set_zero(IVec& v, std::size_t n) {
+  v.resize(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = Interval();
+}
+
+}  // namespace
+
 IMat IMat::identity(std::size_t dim) {
-  IMat r(dim);
-  for (std::size_t i = 0; i < dim; ++i) r.at(i, i) = Interval(1.0);
+  IMat r;
+  set_identity(r, dim);
   return r;
 }
 
@@ -33,7 +51,7 @@ void imat_mul(const IMat& a, const IMat& b, IMat& out) {
 void imat_apply(const IMat& a, const IVec& v, IVec& out) {
   assert(a.n == v.size());
   assert(&out != &v);
-  out = IVec(a.n);
+  out.resize(a.n);
   for (std::size_t i = 0; i < a.n; ++i) {
     Interval acc(0.0);
     for (std::size_t j = 0; j < a.n; ++j) acc += a.at(i, j) * v[j];
@@ -42,11 +60,13 @@ void imat_apply(const IMat& a, const IVec& v, IVec& out) {
 }
 
 bool imat_exp(const IMat& j, const Interval& t, std::uint32_t terms,
-              IMat& out) {
+              IMat& out, ExpScratch& scratch) {
   const std::size_t n = j.n;
   // B = t * J, and an upper bound on ||B||_inf via interval accumulation
   // (a plain double sum could round below the true row sum).
-  IMat b(n);
+  IMat& b = scratch.b;
+  b.n = n;
+  b.e.resize(n * n);
   Interval r(0.0);
   for (std::size_t i = 0; i < n; ++i) {
     Interval row(0.0);
@@ -61,14 +81,15 @@ bool imat_exp(const IMat& j, const Interval& t, std::uint32_t terms,
   if (!(rhi < static_cast<double>(m + 2))) return false;  // tail diverges
 
   // Series: out = sum_{q=0}^{m} B^q / q!.
-  out = IMat::identity(n);
-  IMat pow = IMat::identity(n);
-  IMat tmp(n);
+  IMat& pow = scratch.pow;
+  IMat& tmp = scratch.tmp;
+  set_identity(out, n);
+  set_identity(pow, n);
   for (std::uint32_t q = 1; q <= m; ++q) {
     imat_mul(pow, b, tmp);
     const Interval inv_q = Interval(1.0) / Interval(static_cast<double>(q));
     for (auto& entry : tmp.e) entry *= inv_q;
-    pow = tmp;
+    std::swap(pow, tmp);
     for (std::size_t i = 0; i < n * n; ++i) out.e[i] += pow.e[i];
   }
 
@@ -88,6 +109,49 @@ bool imat_exp(const IMat& j, const Interval& t, std::uint32_t terms,
   return true;
 }
 
+bool imat_exp(const IMat& j, const Interval& t, std::uint32_t terms,
+              IMat& out) {
+  ExpScratch scratch;
+  return imat_exp(j, t, terms, out, scratch);
+}
+
+bool TransportMemo::exp(const IMat& j, const Interval& t, std::uint32_t terms,
+                        IMat& out) {
+  // Key: every bit imat_exp reads, the inputs that vary most between calls
+  // (terms, t) first so that a mismatch shows early in the comparison.
+  probe_.clear();
+  probe_.push_back(j.n);
+  probe_.push_back(terms);
+  probe_.push_back(std::bit_cast<std::uint64_t>(t.lo()));
+  probe_.push_back(std::bit_cast<std::uint64_t>(t.hi()));
+  for (const Interval& x : j.e) {
+    probe_.push_back(std::bit_cast<std::uint64_t>(x.lo()));
+    probe_.push_back(std::bit_cast<std::uint64_t>(x.hi()));
+  }
+
+  ++clock_;
+  Entry* victim = &entries_[0];
+  for (Entry& e : entries_) {
+    if (e.stamp != 0 && e.key == probe_) {
+      e.stamp = clock_;
+      if (e.ok) out = e.value;
+      return e.ok;
+    }
+    if (e.stamp < victim->stamp) victim = &e;
+  }
+  victim->stamp = clock_;
+  victim->key = probe_;
+  victim->ok = imat_exp(j, t, terms, victim->value, scratch_);
+  if (victim->ok) out = victim->value;
+  return victim->ok;
+}
+
+std::size_t TransportMemo::size() const {
+  std::size_t k = 0;
+  for (const Entry& e : entries_) k += e.stamp != 0 ? 1 : 0;
+  return k;
+}
+
 void SymRemainderQueue::push(const IVec& j) {
   assert(j.size() == dim_);
   if (cap_ > 0 && m_.size() >= cap_) flush();
@@ -98,10 +162,9 @@ void SymRemainderQueue::push(const IVec& j) {
 
 void SymRemainderQueue::transport(const IMat& a) {
   assert(a.n == dim_);
-  IMat tmp(dim_);
   for (IMat& m : m_) {
-    imat_mul(a, m, tmp);
-    std::swap(m, tmp);
+    imat_mul(a, m, tmp_);
+    std::swap(m, tmp_);
   }
   recompute_box();
 }
@@ -120,15 +183,14 @@ void SymRemainderQueue::flush() {
 void SymRemainderQueue::clear() {
   m_.clear();
   j_.clear();
-  box_ = IVec(dim_);
+  set_zero(box_, dim_);
 }
 
 void SymRemainderQueue::recompute_box() {
-  box_ = IVec(dim_);
-  IVec t;
+  set_zero(box_, dim_);
   for (std::size_t k = 0; k < m_.size(); ++k) {
-    imat_apply(m_[k], j_[k], t);
-    box_ += t;
+    imat_apply(m_[k], j_[k], t_);
+    box_ += t_;
   }
 }
 

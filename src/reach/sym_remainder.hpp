@@ -21,6 +21,7 @@
 // and batched drivers by construction.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -44,20 +45,61 @@ struct IMat {
   static IMat identity(std::size_t dim);
 };
 
-/// out = a * b. `out` must not alias either operand.
+/// out = a * b. `out` must not alias either operand. Reuses out's storage,
+/// so a warm `out` allocates nothing.
 void imat_mul(const IMat& a, const IMat& b, IMat& out);
 
-/// out = a * v. `out` must not alias `v`.
+/// out = a * v. `out` must not alias `v`. Reuses out's storage.
 void imat_apply(const IMat& a, const interval::IVec& v, interval::IVec& out);
+
+/// Working matrices of imat_exp; a caller that keeps one across calls makes
+/// the series allocation-free once the buffers are warm.
+struct ExpScratch {
+  IMat b, pow, tmp;
+};
 
 /// Sound enclosure of exp(t * J): truncated series sum_{j<=terms} (tJ)^j/j!
 /// plus an entrywise tail bound from the infinity norm,
 ///     |tail| <= r^{m+1}/(m+1)! * 1/(1 - r/(m+2)),  r = ||tJ||_inf,
-/// valid whenever r < m + 2 (returns false otherwise — the caller falls
-/// back to concretizing the queue). `t` may be an interval ([0, h] encloses
-/// the partial-step transport for every time in the step).
+/// valid whenever r < m + 2 (returns false otherwise, leaving `out`
+/// untouched — the caller falls back to concretizing the queue). `t` may be
+/// an interval ([0, h] encloses the partial-step transport for every time
+/// in the step). A pure function of (J, t, terms).
+bool imat_exp(const IMat& j, const interval::Interval& t, std::uint32_t terms,
+              IMat& out, ExpScratch& scratch);
 bool imat_exp(const IMat& j, const interval::Interval& t, std::uint32_t terms,
               IMat& out);
+
+/// Fixed-capacity memo in front of imat_exp. The key is the exact bit
+/// pattern of every input — J.n, both bounds of every entry of J, both
+/// bounds of t, and terms — compared bitwise, so -0.0 and +0.0 are distinct
+/// keys and a hit returns exactly the bits (or the `false`) a fresh
+/// imat_exp would. Least-recently-used entries are evicted. Not
+/// thread-safe: each flowpipe lane owns one (DESIGN.md §12).
+class TransportMemo {
+ public:
+  static constexpr std::size_t kCapacity = 16;
+
+  /// Same contract and result bits as imat_exp(j, t, terms, out).
+  bool exp(const IMat& j, const interval::Interval& t, std::uint32_t terms,
+           IMat& out);
+
+  /// Number of keys held (at most kCapacity).
+  std::size_t size() const;
+
+ private:
+  struct Entry {
+    std::vector<std::uint64_t> key;
+    std::uint64_t stamp = 0;  ///< last use; 0 = empty slot
+    bool ok = false;          ///< imat_exp's return value
+    IMat value;               ///< its enclosure (meaningful when ok)
+  };
+
+  std::array<Entry, kCapacity> entries_;
+  std::uint64_t clock_ = 0;
+  std::vector<std::uint64_t> probe_;
+  ExpScratch scratch_;
+};
 
 /// The queue itself. Invariant maintained by the flowpipe driver: the true
 /// state set is { p(s) + d : s in [-1,1]^n, d in sum_k M_k J_k } where p
@@ -86,6 +128,7 @@ class SymRemainderQueue {
   void push(const interval::IVec& j);
 
   /// Transports every queued entry through one step: M_k <- a * M_k.
+  /// Allocation-free once the queue's buffers are warm.
   void transport(const IMat& a);
 
   /// Collapses the queue to the single entry (I, box()): sound, forgets
@@ -105,6 +148,9 @@ class SymRemainderQueue {
   std::vector<interval::IVec> j_;
   interval::IVec box_;
   std::size_t flushes_ = 0;
+  // Scratch of transport() / recompute_box(), warm across steps.
+  IMat tmp_;
+  interval::IVec t_;
 };
 
 }  // namespace dwv::reach::sym

@@ -575,8 +575,9 @@ TmComputeResult TmVerifier::compute_symbolic(
 // persistent env / scratch / step buffers survive across cells, so a batch
 // pays the allocation and range-table cold start once per lane instead of
 // once per cell. Reuse cannot change results: every piece of cross-cell
-// state is either a scratch buffer that each step fully overwrites or the
-// RangeEngine, whose caching is bit-invisible by contract (DESIGN.md §10).
+// state is either a scratch buffer that each step fully overwrites or a
+// cache that is bit-invisible by contract: the RangeEngine (DESIGN.md §10)
+// and the transport memo (§12).
 struct TmVerifier::Lane {
   const TmVerifier* v = nullptr;
 
@@ -595,6 +596,10 @@ struct TmVerifier::Lane {
   bool sym_on = false;
   sym::SymRemainderQueue srq;
   sym::IMat jac, a_step, a_tube;
+  // exp(hJ) enclosures of step_transport, memoized on the exact input bits
+  // (bit-invisible; per lane, so lock-free). `xu` is its Jacobian domain.
+  sym::TransportMemo transport_memo;
+  IVec xu;
 
   // Adaptive step/order schedule (TmReachOptions::adaptive): decisions are
   // pure functions of per-step computed signals, so every driver — and the
@@ -899,7 +904,7 @@ struct TmVerifier::Lane {
     }
     const std::uint32_t terms = order + 2;
     const std::size_t m = u_rng.size();
-    IVec xu(n + m);
+    xu.resize(n + m);
     for (std::size_t k = 0; k < m; ++k) xu[n + k] = u_rng[k];
     for (double kappa = 2.0; kappa <= 512.0; kappa *= 4.0) {
       const double dmag = (Interval(kappa) * Interval(qmax)).hi();
@@ -908,14 +913,16 @@ struct TmVerifier::Lane {
       if (!v->dynamics_->state_jacobian(xu, jac)) return false;
       // A larger kappa only grows the Jacobian domain, so once the series
       // tail diverges escalation cannot recover.
-      if (!sym::imat_exp(jac, Interval(0.0, hs), terms, a_tube)) return false;
+      if (!transport_memo.exp(jac, Interval(0.0, hs), terms, a_tube)) {
+        return false;
+      }
       sym::imat_apply(a_tube, q, q_tube);
       bool inside = true;
       for (std::size_t i = 0; i < n && inside; ++i) {
         inside = q_tube[i].lo() > -dmag && q_tube[i].hi() < dmag;
       }
       if (!inside) continue;
-      return sym::imat_exp(jac, Interval(hs), terms, a_step);
+      return transport_memo.exp(jac, Interval(hs), terms, a_step);
     }
     return false;
   }

@@ -3,11 +3,8 @@
 // (poly/poly_ref.hpp) bit for bit, the key codec must reject exponents that
 // exceed the bit budget, and a warm Taylor-model flowpipe step must perform
 // zero heap allocations (the perf contract of DESIGN.md section 9).
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -15,53 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hpp"
 #include "interval/ivec.hpp"
 #include "poly/poly.hpp"
 #include "poly/poly_ref.hpp"
 #include "reach/tm_dynamics.hpp"
 #include "reach/tm_flowpipe.hpp"
 #include "taylor/taylor_model.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter: every path through operator new bumps it, so a
-// test can assert that a code region performs no heap allocations.
-// ---------------------------------------------------------------------------
-
-std::atomic<std::size_t> g_alloc_count{0};
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n ? n : 1);
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t n) { return ::operator new(n); }
-
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(al), n ? n : 1) != 0)
-    throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 

@@ -1,15 +1,20 @@
 // Symbolic remainder queue suite (DESIGN.md §12): interval-matrix
 // transport enclosures, queue mechanics (push/transport/overflow flush),
-// Monte-Carlo soundness of queued flowpipes on the paper benchmarks,
-// the queued-vs-conventional tightness guarantee, bit-identity of the
-// batched driver under the queue, and prefix reuse for child cells.
+// the per-lane transport memo (exact-bit keys), zero heap allocations of
+// the warm queue kernels, Monte-Carlo soundness of queued flowpipes on the
+// paper benchmarks, the queued-vs-conventional tightness guarantee,
+// bit-identity of the batched driver under the queue, and prefix reuse for
+// child cells.
 // Runs under the `parallel` CTest label (batched drivers inside).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "interval/lanes.hpp"
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
@@ -31,6 +36,7 @@ using reach::TmReachOptions;
 using reach::TmVerifier;
 using reach::sym::IMat;
 using reach::sym::SymRemainderQueue;
+using reach::sym::TransportMemo;
 
 // --- interval matrix kernels ---------------------------------------------
 
@@ -154,6 +160,152 @@ TEST(SymQueue, RotationQueueBeatsBoxTransport) {
   }
   EXPECT_LT(q.box()[0].hi(), 1.5);    // one matrix product: still ~sqrt(2)
   EXPECT_GT(boxed[0].hi(), 10.0);     // box transport wrapped 8 times
+}
+
+// --- transport memo ------------------------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+bool same_bits(const Interval& a, const Interval& b) {
+  return bits(a.lo()) == bits(b.lo()) && bits(a.hi()) == bits(b.hi());
+}
+
+void expect_same_bits(const IMat& got, const IMat& want, const char* what) {
+  ASSERT_EQ(got.n, want.n) << what;
+  ASSERT_EQ(got.e.size(), want.e.size()) << what;
+  for (std::size_t i = 0; i < got.e.size(); ++i) {
+    EXPECT_TRUE(same_bits(got.e[i], want.e[i])) << what << " entry " << i;
+  }
+}
+
+// A Jacobian-like enclosure with a zero entry, so the signed-zero key case
+// has something to flip.
+IMat sample_jacobian() {
+  IMat j(2);
+  j.at(0, 0) = Interval(-0.31, -0.29);
+  j.at(0, 1) = Interval(0.0);
+  j.at(1, 0) = Interval(1.1, 1.2);
+  j.at(1, 1) = Interval(-2.05, -1.95);
+  return j;
+}
+
+IMat fresh_exp(const IMat& j, const Interval& t, std::uint32_t terms) {
+  IMat out;
+  EXPECT_TRUE(reach::sym::imat_exp(j, t, terms, out));
+  return out;
+}
+
+TEST(TransportMemo, HitReturnsFreshBits) {
+  const IMat j = sample_jacobian();
+  const Interval t(0.0, 0.1);
+  const IMat want = fresh_exp(j, t, 6);
+  TransportMemo memo;
+  for (int call = 0; call < 3; ++call) {
+    IMat got;
+    ASSERT_TRUE(memo.exp(j, t, 6, got));
+    expect_same_bits(got, want, "memo");
+    EXPECT_EQ(memo.size(), 1u);
+  }
+}
+
+TEST(TransportMemo, KeysDifferingInOneInputMiss) {
+  const IMat j = sample_jacobian();
+  IMat j_neg_zero = j;
+  j_neg_zero.at(0, 1) = Interval(-0.0);
+  struct Key {
+    const char* what;
+    const IMat* j;
+    Interval t;
+    std::uint32_t terms;
+  };
+  const Key keys[] = {
+      {"base", &j, Interval(0.0, 0.1), 6},
+      {"endpoint t", &j, Interval(0.1), 6},
+      {"terms", &j, Interval(0.0, 0.1), 7},
+      {"signed zero in J", &j_neg_zero, Interval(0.0, 0.1), 6},
+  };
+  TransportMemo memo;
+  std::size_t expected_size = 0;
+  for (const Key& k : keys) {
+    IMat got;
+    ASSERT_TRUE(memo.exp(*k.j, k.t, k.terms, got)) << k.what;
+    EXPECT_EQ(memo.size(), ++expected_size) << k.what << " hit a stale key";
+    expect_same_bits(got, fresh_exp(*k.j, k.t, k.terms), k.what);
+  }
+
+  // Dimension alone: two zero matrices have no entry bits to tell apart.
+  TransportMemo dims;
+  IMat got;
+  ASSERT_TRUE(dims.exp(IMat(2), Interval(0.1), 4, got));
+  ASSERT_TRUE(dims.exp(IMat(3), Interval(0.1), 4, got));
+  EXPECT_EQ(dims.size(), 2u);
+  expect_same_bits(got, fresh_exp(IMat(3), Interval(0.1), 4), "n");
+}
+
+TEST(TransportMemo, CachedFailureComesBackFalse) {
+  IMat j(1);
+  j.at(0, 0) = Interval(100.0);
+  IMat sentinel(1);
+  sentinel.at(0, 0) = Interval(42.0);
+  TransportMemo memo;
+  for (int call = 0; call < 2; ++call) {
+    IMat out = sentinel;
+    EXPECT_FALSE(memo.exp(j, Interval(1.0), 3, out));
+    expect_same_bits(out, sentinel, "untouched on failure");
+    EXPECT_EQ(memo.size(), 1u);
+  }
+}
+
+TEST(TransportMemo, EvictionKeepsResultsExact) {
+  const IMat j = sample_jacobian();
+  const std::size_t keys = TransportMemo::kCapacity + 5;
+  const auto t_of = [](std::size_t k) {
+    return Interval(0.0, 0.01 * static_cast<double>(k + 1));
+  };
+  TransportMemo memo;
+  // Two passes: the second re-queries keys the first pass evicted.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t k = 0; k < keys; ++k) {
+      IMat got;
+      ASSERT_TRUE(memo.exp(j, t_of(k), 6, got));
+      expect_same_bits(got, fresh_exp(j, t_of(k), 6), "evicting memo");
+    }
+    EXPECT_EQ(memo.size(), TransportMemo::kCapacity);
+  }
+}
+
+// The steady-state perf contract of the queue kernels: once their buffers
+// are warm, a queue transport plus concretization, an interval
+// matrix-vector product into a sized output, and a memo hit allocate
+// nothing.
+TEST(SymQueue, WarmKernelsDoNotAllocate) {
+  SymRemainderQueue q;
+  q.reset(2, 100);
+  for (int k = 0; k < 10; ++k) {
+    const double r = 0.01 * (k + 1);
+    q.push(IVec{Interval(-r, r), Interval(-0.5 * r, r)});
+  }
+  IMat a;
+  ASSERT_TRUE(reach::sym::imat_exp(sample_jacobian(), Interval(0.05), 6, a));
+  const IVec v{Interval(-1.0, 1.0), Interval(0.25, 0.5)};
+  IVec av(2);
+  TransportMemo memo;
+  IMat hit;
+  // Warm-up: sizes every scratch buffer and stores the memo key.
+  q.transport(a);
+  ASSERT_TRUE(memo.exp(sample_jacobian(), Interval(0.0, 0.05), 6, hit));
+  const IMat j = sample_jacobian();
+
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  q.transport(a);
+  const Interval box0 = q.box()[0];
+  reach::sym::imat_apply(a, v, av);
+  const bool ok = memo.exp(j, Interval(0.0, 0.05), 6, hit);
+  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "warm queue kernels allocated";
+  EXPECT_TRUE(ok);
+  EXPECT_GT(box0.width(), 0.0);
+  EXPECT_EQ(q.size(), 10u);
 }
 
 // --- queued flowpipes ----------------------------------------------------
