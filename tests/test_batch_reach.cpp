@@ -12,10 +12,12 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/initial_set.hpp"
 #include "core/learner.hpp"
+#include "golden_search.hpp"
 #include "interval/lanes.hpp"
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
@@ -505,33 +507,25 @@ TEST(TmBatch, ExprDynamicsBatchMatchesScalar) {
     expect_flowpipe_eq(got[i], ref[i]);
 }
 
-// --- work-stealing search vs level-synchronous search --------------------
-
-void expect_result_eq(const core::InitialSetResult& a,
-                      const core::InitialSetResult& b) {
-  expect_boxes_eq(a.certified, b.certified);
-  expect_boxes_eq(a.rejected, b.rejected);
-  EXPECT_EQ(bits(a.coverage), bits(b.coverage));
-  EXPECT_EQ(a.verifier_calls, b.verifier_calls);
-}
+// --- work-stealing search vs recorded level-synchronous bytes -----------
+// The references are golden_search.txt entries recorded from the
+// level-synchronous search before it was removed; every thread count and
+// batch width of the one search engine must reproduce them bit for bit.
 
 TEST(WorkStealSearch, MatchesLevelSynchronousSearch) {
   const auto bm = ode::make_acc_benchmark();
   const auto ctrl = acc_gain();
   const reach::IntervalVerifier v(bm.system, bm.spec, {});
-  core::InitialSetOptions base;
-  base.max_depth = 4;
-  base.threads = 1;
-  base.work_steal = false;
-  const auto ref = core::search_initial_set(v, bm.spec, ctrl, base);
   for (std::size_t threads : {1ul, 4ul}) {
     for (std::size_t batch : {0ul, 1ul, 3ul}) {
-      core::InitialSetOptions o = base;
-      o.work_steal = true;
+      core::InitialSetOptions o;
+      o.max_depth = 4;
       o.threads = threads;
       o.batch = batch;
-      const auto got = core::search_initial_set(v, bm.spec, ctrl, o);
-      expect_result_eq(got, ref);
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      golden::expect_golden("acc_interval_d4",
+                            core::search_initial_set(v, bm.spec, ctrl, o));
     }
   }
 }
@@ -541,16 +535,18 @@ TEST(WorkStealSearch, ForcedScalarDispatchSameResult) {
   const auto bm = ode::make_acc_benchmark();
   const auto ctrl = acc_gain();
   const reach::IntervalVerifier v(bm.system, bm.spec, {});
-  core::InitialSetOptions base;
-  base.max_depth = 3;
-  base.threads = 1;
-  base.work_steal = false;
-  const auto ref = core::search_initial_set(v, bm.spec, ctrl, base);
-  core::InitialSetOptions o = base;
-  o.work_steal = true;
-  o.threads = 4;
-  const auto got = core::search_initial_set(v, bm.spec, ctrl, o);
-  expect_result_eq(got, ref);
+  for (std::size_t threads : {1ul, 4ul}) {
+    for (std::size_t batch : {0ul, 1ul}) {
+      core::InitialSetOptions o;
+      o.max_depth = 3;
+      o.threads = threads;
+      o.batch = batch;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      golden::expect_golden("acc_interval_forced_scalar_d3",
+                            core::search_initial_set(v, bm.spec, ctrl, o));
+    }
+  }
 }
 
 TEST(WorkStealSearch, PrefixReuseMatchesLevelSynchronous) {
@@ -559,48 +555,45 @@ TEST(WorkStealSearch, PrefixReuseMatchesLevelSynchronous) {
   const reach::TmVerifier v(bm.system, bm.spec,
                             std::make_shared<reach::IntervalAbstraction>(),
                             {});
-  core::InitialSetOptions base;
-  base.max_depth = 3;
-  base.threads = 1;
-  base.reuse_parent_prefix = true;
-  base.work_steal = false;
-  const auto ref = core::search_initial_set(v, bm.spec, ctrl, base);
   for (std::size_t threads : {1ul, 4ul}) {
-    core::InitialSetOptions o = base;
-    o.work_steal = true;
-    o.threads = threads;
-    const auto got = core::search_initial_set(v, bm.spec, ctrl, o);
-    expect_result_eq(got, ref);
+    for (std::size_t batch : {0ul, 1ul, 3ul}) {
+      core::InitialSetOptions o;
+      o.max_depth = 3;
+      o.threads = threads;
+      o.batch = batch;
+      o.reuse_parent_prefix = true;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      golden::expect_golden("acc_tm_interval_reuse_d3",
+                            core::search_initial_set(v, bm.spec, ctrl, o));
+    }
   }
 }
 
 TEST(WorkStealSearch, CachingVerifierStatsMatch) {
   const auto bm = ode::make_acc_benchmark();
   const auto ctrl = acc_gain();
-  const auto make = [&]() {
-    return reach::CachingVerifier(
-        std::make_shared<reach::IntervalVerifier>(
-            bm.system, bm.spec, reach::IntervalReachOptions{}),
-        reach::FlowpipeCache::Config{});
-  };
-  core::InitialSetOptions base;
-  base.max_depth = 4;
-  base.threads = 1;
-  base.work_steal = false;
-  const auto ref_cv = make();
-  const auto ref = core::search_initial_set(ref_cv, bm.spec, ctrl, base);
-  const reach::CacheStats sref = ref_cv.cache()->stats();
   for (std::size_t threads : {1ul, 4ul}) {
-    const auto cv = make();
-    core::InitialSetOptions o = base;
-    o.work_steal = true;
-    o.threads = threads;
-    const auto got = core::search_initial_set(cv, bm.spec, ctrl, o);
-    expect_result_eq(got, ref);
-    const reach::CacheStats s = cv.cache()->stats();
-    EXPECT_EQ(s.hits, sref.hits);
-    EXPECT_EQ(s.misses, sref.misses);
-    EXPECT_EQ(s.insertions, sref.insertions);
+    for (std::size_t batch : {0ul, 1ul, 3ul}) {
+      const reach::CachingVerifier cv(
+          std::make_shared<reach::IntervalVerifier>(
+              bm.system, bm.spec, reach::IntervalReachOptions{}),
+          reach::FlowpipeCache::Config{});
+      core::InitialSetOptions o;
+      o.max_depth = 4;
+      o.threads = threads;
+      o.batch = batch;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch));
+      golden::expect_golden("acc_cached_interval_d4",
+                            core::search_initial_set(cv, bm.spec, ctrl, o));
+      // Recorded with the golden entry: branch-and-refine visits each
+      // cell once, so every one of the 31 calls misses and inserts.
+      const reach::CacheStats s = cv.cache()->stats();
+      EXPECT_EQ(s.hits, 0u);
+      EXPECT_EQ(s.misses, 31u);
+      EXPECT_EQ(s.insertions, 31u);
+    }
   }
 }
 

@@ -17,65 +17,21 @@
 //    bootstrap factor escalates, and the memo mostly misses.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <random>
-#include <sstream>
-#include <string>
 
 #include "core/initial_set.hpp"
+#include "golden_search.hpp"
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
 #include "reach/control_abstraction.hpp"
-#include "reach/serialize.hpp"
 #include "reach/tm_flowpipe.hpp"
-
-#ifndef DWV_GOLDEN_SEARCH_FILE
-#error "DWV_GOLDEN_SEARCH_FILE must name the golden data file"
-#endif
 
 namespace dwv {
 namespace {
 
+using golden::expect_golden;
 using linalg::Mat;
-
-struct Golden {
-  std::uint64_t bytes = 0;
-  std::uint64_t checksum = 0;
-};
-
-// golden_search.txt: `<case> <byte length> <checksum64 in hex>` per line,
-// `#` starts a comment line.
-std::map<std::string, Golden> load_golden() {
-  std::map<std::string, Golden> out;
-  std::ifstream in(DWV_GOLDEN_SEARCH_FILE);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string name;
-    Golden g;
-    ls >> name >> g.bytes >> std::hex >> g.checksum;
-    if (ls) out[name] = g;
-  }
-  return out;
-}
-
-void expect_golden(const std::string& name, const core::InitialSetResult& r) {
-  reach::ser::Writer w;
-  core::put(w, r);
-  const reach::ser::Bytes& b = w.bytes();
-  const std::uint64_t sum = reach::ser::checksum64(b.data(), b.size());
-  std::ostringstream got;
-  got << name << ": " << b.size() << " bytes, checksum 0x" << std::hex << sum;
-  const auto golden = load_golden();
-  const auto it = golden.find(name);
-  ASSERT_NE(it, golden.end()) << "no golden entry; got " << got.str();
-  EXPECT_EQ(b.size(), it->second.bytes) << got.str();
-  EXPECT_EQ(sum, it->second.checksum) << got.str();
-}
 
 TEST(GoldenSearch, AccLinearSymbolicAdaptiveReuse) {
   const ode::Benchmark bench = ode::make_acc_benchmark();
@@ -89,7 +45,6 @@ TEST(GoldenSearch, AccLinearSymbolicAdaptiveReuse) {
   opt.max_depth = 6;
   opt.reuse_parent_prefix = true;
   opt.batch = 0;
-  opt.work_steal = true;
   opt.threads = 2;
   const core::InitialSetResult r =
       core::search_initial_set(v, bench.spec, ctrl, opt);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/search_shard.hpp"
+#include "golden_search.hpp"
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
 #include "reach/cache.hpp"
@@ -152,6 +153,33 @@ TEST(ShardSearch, PrefixReuseAndSymbolicRemainderMatchSingleProcess) {
   const InitialSetResult res =
       search_initial_set_sharded(verifier, bench.spec, mid, opt);
   expect_bits_eq(res, single);
+
+  // The lane-batched prefix expansion replays TM prefixes into the shard
+  // partition: pin it to the golden bytes of GoldenSearch.
+  // AccLinearSymbolicAdaptiveReuse at every K and prefix grain.
+  reach::TmReachOptions golden_tm;
+  golden_tm.symbolic_remainder = true;
+  golden_tm.adaptive = true;
+  const reach::TmVerifier golden_v(
+      bench.system, bench.spec, std::make_shared<reach::LinearAbstraction>(),
+      golden_tm);
+  const nn::LinearController golden_ctrl(Mat{{0.7, -2.4}});
+  for (const std::size_t shards : {1u, 2u, 3u}) {
+    for (const std::size_t grain : {1u, 8u}) {
+      ShardSearchOptions g;
+      g.base.max_depth = 6;
+      g.base.reuse_parent_prefix = true;
+      g.base.batch = 0;
+      g.base.threads = 1;
+      g.shards = shards;
+      g.prefix_grain = grain;
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " grain=" + std::to_string(grain));
+      golden::expect_golden(
+          "acc_linear_symrem_adaptive_reuse_d6",
+          search_initial_set_sharded(golden_v, bench.spec, golden_ctrl, g));
+    }
+  }
 }
 
 TEST(ShardSearch, ShardRunsSerializeAndMergeToSingleProcessBits) {
