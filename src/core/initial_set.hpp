@@ -25,7 +25,7 @@ namespace dwv::core {
 inline constexpr std::size_t kMaxSearchDepth = 62;
 
 /// Throws std::invalid_argument when max_depth > kMaxSearchDepth (the
-/// shared entry-point check of search_initial_set and the sharded driver).
+/// entry-point check of the search engine, core/search_shard.hpp).
 void validate_search_depth(std::size_t max_depth);
 
 struct InitialSetOptions {
@@ -36,10 +36,10 @@ struct InitialSetOptions {
   /// Also require per-cell safety certification (safety already holds for
   /// all of X0 when Algorithm 1 succeeded, so this is usually redundant).
   bool check_safety = true;
-  /// Concurrent verifier calls: sibling sub-boxes of a refinement level
-  /// are verified in parallel. 0 = auto (DWV_THREADS env var, else
-  /// hardware concurrency); 1 = serial. Cells are certified/bisected in
-  /// frontier order, so the result is identical at any thread count.
+  /// Worker threads of the work-stealing refinement frontier. 0 = auto
+  /// (DWV_THREADS env var, else hardware concurrency); 1 = serial.
+  /// Terminal decisions are merged in heap-sequence order, so the result
+  /// is identical at any thread count.
   std::size_t threads = 0;
   /// Reuse each parent cell's validated symbolic flowpipe prefix when
   /// verifying its children: a child's pipe starts by restricting the
@@ -57,19 +57,14 @@ struct InitialSetOptions {
   /// queued remainders materialized into the models (DESIGN.md §12), so a
   /// child restriction stands alone without the parent's queue.
   bool reuse_parent_prefix = false;
-  /// Lane-batch width for grouped verifier calls on the work-stealing
-  /// path (reach::BatchVerifier): 0 = auto (the SIMD lane width),
-  /// 1 = verify cells one at a time, otherwise groups of this size.
-  /// Results are bit-identical at any setting.
+  /// Lane-batch width for grouped verifier calls (reach::BatchVerifier):
+  /// 0 = auto (the SIMD lane width), 1 = verify cells one at a time,
+  /// otherwise groups of this size. Results are bit-identical at any
+  /// setting.
   std::size_t batch = 0;
-  /// Schedule the refinement frontier with work-stealing deques
-  /// (deepest-first, no level barrier) instead of the level-synchronous
-  /// fan-out. Cells carry heap sequence numbers (root 1, children 2s and
-  /// 2s+1) and terminal decisions are merged in sequence order, which
-  /// replays the breadth-first order exactly — results are bit-identical
-  /// either way, at any thread count (DESIGN.md section 11). The
-  /// level-synchronous path ignores `batch` (it always verifies per
-  /// cell, the seed behaviour).
+  /// Inert: selects nothing and is read by nothing. The search has one
+  /// engine, the work-stealing frontier (DESIGN.md section 11); the
+  /// member stays only so that existing code assigning it still builds.
   bool work_steal = true;
 };
 
@@ -85,6 +80,8 @@ struct InitialSetResult {
   bool full() const { return coverage >= 1.0 - 1e-12; }
 };
 
+/// Runs the X_I search: the sharded engine of core/search_shard.hpp with
+/// one shard, no checkpoint and no progress callback (defined there).
 InitialSetResult search_initial_set(const reach::Verifier& verifier,
                                     const ode::ReachAvoidSpec& spec,
                                     const nn::Controller& ctrl,

@@ -76,6 +76,9 @@ struct EngineState {
   }
 };
 
+// Parent-prefix reuse needs the symbolic TmVerifier interface; unwrap one
+// CachingVerifier layer if present (a within-search cache would never hit
+// anyway — branch-and-refine visits each box exactly once).
 const reach::TmVerifier* unwrap_tm(const reach::Verifier& verifier,
                                    bool reuse_parent_prefix) {
   if (!reuse_parent_prefix) return nullptr;
@@ -290,60 +293,26 @@ class CheckpointFile {
 
 // --- Engine -------------------------------------------------------------
 
-// Deterministic level-synchronous expansion of the shared tree prefix:
-// every process expands the same levels from the root, so the frontier at
-// the stop point — and therefore the round-robin shard partition of it —
-// is a pure function of the search configuration, independent of
-// scheduling. Mirrors the level-synchronous path of search_initial_set.
-void expand_level(const reach::Verifier& verifier,
-                  const ode::ReachAvoidSpec& spec, const nn::Controller& ctrl,
-                  const ShardSearchOptions& opt, const reach::TmVerifier* tmv,
-                  EngineState& st) {
-  const std::size_t n = st.pending.size();
-  const std::size_t per_shard = parallel::resolve_threads(opt.base.threads);
-  const std::size_t threads =
-      opt.shard_index == ShardSearchOptions::kAllShards
-          ? per_shard * std::max<std::size_t>(opt.shards, 1)
-          : per_shard;
-  std::vector<char> certify(n, 0);
-  std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(
-      tmv != nullptr ? n : 0);
-  parallel::parallel_for(threads, n, [&](std::size_t i) {
-    reach::Flowpipe fp;
-    if (tmv != nullptr) {
-      reach::TmComputeResult r = tmv->compute_symbolic(
-          st.pending[i].box, ctrl, st.pending[i].parent.get());
-      fp = std::move(r.fp);
-      prefixes[i] = std::move(r.prefix);
-    } else {
-      fp = verifier.compute(st.pending[i].box, ctrl);
-    }
-    const FlowpipeFacts facts = analyze_flowpipe(fp, spec);
-    const bool safe_ok = !opt.base.check_safety || facts.safe_certified;
-    certify[i] = fp.valid && safe_ok && facts.goal_certified;
-  });
-  st.calls += n;
+// One search's fixed inputs, shared by every frontier run.
+struct Search {
+  const reach::Verifier& verifier;
+  const ode::ReachAvoidSpec& spec;
+  const nn::Controller& ctrl;
+  const ShardSearchOptions& opt;
+  // Non-null when parent-prefix reuse is on and the verifier (or the
+  // CachingVerifier it wraps) is a TmVerifier.
+  const reach::TmVerifier* tmv;
+};
 
-  std::vector<PendingCell> next;
-  for (std::size_t i = 0; i < n; ++i) {
-    PendingCell& cell = st.pending[i];
-    if (certify[i]) {
-      st.records.push_back({cell.seq, std::move(cell.box), true});
-      st.note(st.records.back());
-    } else if (cell.depth < opt.base.max_depth) {
-      auto [lo, hi] = cell.box.bisect();
-      std::shared_ptr<const reach::TmSymbolicPrefix> prefix;
-      if (tmv != nullptr) prefix = std::move(prefixes[i]);
-      next.push_back({std::move(lo), cell.depth + 1, 2 * cell.seq, prefix});
-      next.push_back(
-          {std::move(hi), cell.depth + 1, 2 * cell.seq + 1, std::move(prefix)});
-    } else {
-      st.records.push_back({cell.seq, std::move(cell.box), false});
-      st.note(st.records.back());
-    }
-  }
-  st.pending = std::move(next);
-}
+// Where one run_frontier call stops: cells deeper than `max_depth`, and
+// every cell popped once `budget` has counted `budget_limit` claims, go
+// to the leftovers unverified.
+struct FrontierLimits {
+  std::size_t threads;
+  std::size_t max_depth;
+  std::atomic<std::size_t>& budget;
+  std::size_t budget_limit;
+};
 
 struct FrontierOut {
   std::vector<ShardRecord> records;
@@ -351,60 +320,63 @@ struct FrontierOut {
   std::uint64_t calls = 0;
 };
 
-// One shard's work-stealing frontier run, bounded by the round budget:
-// the body of core::search_initial_set's work-steal scheduler plus a shunt
-// — once `budget` cells have been claimed in this round, every further
-// popped cell goes, unverified, to the leftover frontier, so the pool
-// drains to a quiescent point fit for a snapshot. Which cells land in
-// which round is scheduling-dependent; the terminal records are not.
-void run_frontier(const reach::Verifier& verifier,
-                  const ode::ReachAvoidSpec& spec, const nn::Controller& ctrl,
-                  const InitialSetOptions& base, const reach::TmVerifier* tmv,
-                  std::vector<PendingCell> roots,
-                  std::atomic<std::size_t>& budget, std::size_t budget_limit,
-                  FrontierOut& out) {
-  struct Cell {
-    geom::Box box;
-    std::size_t depth;
-    std::uint64_t seq;
-    std::shared_ptr<const reach::TmSymbolicPrefix> parent;
-  };
-
-  const std::size_t threads = parallel::resolve_threads(base.threads);
-  const reach::BatchVerifier bv(&verifier, base.batch);
+// The one X_I cell body: a work-stealing frontier run that verifies cells
+// in lane-batched groups, then certifies, bisects or rejects each.
+// Deterministic despite the scheduling: every cell carries its heap
+// sequence number and the terminal records are merged in sequence order
+// afterwards (finalize_records). The limits shunt cells to the leftover
+// frontier so the pool drains to a quiescent point: the depth limit
+// expands the deterministic shard prefix one level per call, the round
+// budget bounds a round for snapshots and progress reports. Which cells
+// land in which round is scheduling-dependent; the terminal records are
+// not.
+void run_frontier(const Search& s, std::vector<PendingCell> roots,
+                  const FrontierLimits& lim, FrontierOut& out) {
+  const reach::BatchVerifier bv(&s.verifier, s.opt.base.batch);
   const std::size_t width = bv.batch();
 
-  std::vector<std::vector<ShardRecord>> records(threads);
-  std::vector<std::vector<PendingCell>> leftovers(threads);
+  std::vector<std::vector<ShardRecord>> records(lim.threads);
+  std::vector<std::vector<PendingCell>> leftovers(lim.threads);
   std::atomic<std::size_t> calls{0};
 
-  const auto body = [&](Cell* first, parallel::WorkStealContext<Cell*>& ctx) {
-    if (budget.fetch_add(1, std::memory_order_relaxed) >= budget_limit) {
-      leftovers[ctx.worker()].push_back({std::move(first->box), first->depth,
-                                         first->seq,
-                                         std::move(first->parent)});
-      delete first;
+  const auto body = [&](PendingCell* first,
+                        parallel::WorkStealContext<PendingCell*>& ctx) {
+    const auto shunt = [&](PendingCell* c) {
+      leftovers[ctx.worker()].push_back(std::move(*c));
+      delete c;
+    };
+    if (first->depth > lim.max_depth ||
+        lim.budget.fetch_add(1, std::memory_order_relaxed) >=
+            lim.budget_limit) {
+      shunt(first);
       return;
     }
-    std::vector<Cell*> group{first};
-    Cell* extra = nullptr;
+    std::vector<PendingCell*> group{first};
+    PendingCell* extra = nullptr;
     while (group.size() < width && ctx.try_pop(extra)) {
+      if (extra->depth > lim.max_depth) {
+        shunt(extra);
+        continue;
+      }
       // Extras ride the group past the budget check (overshoot of at most
       // one batch width per round — the cadence is approximate by design).
-      budget.fetch_add(1, std::memory_order_relaxed);
+      lim.budget.fetch_add(1, std::memory_order_relaxed);
       group.push_back(extra);
     }
 
+    // The symbolic prefix-reuse path goes through the TM lockstep driver,
+    // which replays each cell's own parent prefix per lane; everything
+    // else goes through the batch engine.
     std::vector<reach::Flowpipe> fps(group.size());
     std::vector<std::shared_ptr<const reach::TmSymbolicPrefix>> prefixes(
-        tmv != nullptr ? group.size() : 0);
-    if (tmv != nullptr) {
+        s.tmv != nullptr ? group.size() : 0);
+    if (s.tmv != nullptr) {
       std::vector<reach::TmBatchJob> jobs;
       jobs.reserve(group.size());
-      for (const Cell* c : group)
-        jobs.push_back({c->box, &ctrl, c->parent.get()});
+      for (const PendingCell* c : group)
+        jobs.push_back({c->box, &s.ctrl, c->parent.get()});
       std::vector<reach::TmComputeResult> rs =
-          tmv->compute_symbolic_batch(jobs, group.size());
+          s.tmv->compute_symbolic_batch(jobs, group.size());
       for (std::size_t g = 0; g < group.size(); ++g) {
         fps[g] = std::move(rs[g].fp);
         prefixes[g] = std::move(rs[g].prefix);
@@ -412,40 +384,39 @@ void run_frontier(const reach::Verifier& verifier,
     } else {
       std::vector<reach::BatchJob> jobs;
       jobs.reserve(group.size());
-      for (const Cell* c : group) jobs.push_back({c->box, &ctrl});
+      for (const PendingCell* c : group) jobs.push_back({c->box, &s.ctrl});
       fps = bv.compute(jobs);
     }
 
     for (std::size_t g = 0; g < group.size(); ++g) {
-      Cell* cell = group[g];
-      const FlowpipeFacts facts = analyze_flowpipe(fps[g], spec);
-      const bool safe_ok = !base.check_safety || facts.safe_certified;
+      PendingCell* cell = group[g];
+      const FlowpipeFacts facts = analyze_flowpipe(fps[g], s.spec);
+      const bool safe_ok = !s.opt.base.check_safety || facts.safe_certified;
       const bool certify = fps[g].valid && safe_ok && facts.goal_certified;
       if (certify) {
-        records[ctx.worker()].push_back({cell->seq, cell->box, true});
-      } else if (cell->depth < base.max_depth) {
+        records[ctx.worker()].push_back(
+            {cell->seq, std::move(cell->box), true});
+      } else if (cell->depth < s.opt.base.max_depth) {
         auto [lo, hi] = cell->box.bisect();
         std::shared_ptr<const reach::TmSymbolicPrefix> prefix;
-        if (tmv != nullptr) prefix = std::move(prefixes[g]);
-        ctx.spawn(
-            new Cell{std::move(lo), cell->depth + 1, 2 * cell->seq, prefix});
-        ctx.spawn(new Cell{std::move(hi), cell->depth + 1, 2 * cell->seq + 1,
-                           std::move(prefix)});
+        if (s.tmv != nullptr) prefix = std::move(prefixes[g]);
+        ctx.spawn(new PendingCell{std::move(lo), cell->depth + 1,
+                                  2 * cell->seq, prefix});
+        ctx.spawn(new PendingCell{std::move(hi), cell->depth + 1,
+                                  2 * cell->seq + 1, std::move(prefix)});
       } else {
-        records[ctx.worker()].push_back({cell->seq, cell->box, false});
+        records[ctx.worker()].push_back(
+            {cell->seq, std::move(cell->box), false});
       }
       delete cell;
     }
     calls.fetch_add(group.size(), std::memory_order_relaxed);
   };
 
-  std::vector<Cell*> rootp;
+  std::vector<PendingCell*> rootp;
   rootp.reserve(roots.size());
-  for (PendingCell& c : roots) {
-    rootp.push_back(
-        new Cell{std::move(c.box), c.depth, c.seq, std::move(c.parent)});
-  }
-  parallel::work_steal_run(threads, rootp, body);
+  for (PendingCell& c : roots) rootp.push_back(new PendingCell(std::move(c)));
+  parallel::work_steal_run(lim.threads, rootp, body);
 
   for (auto& r : records) {
     out.records.insert(out.records.end(), std::make_move_iterator(r.begin()),
@@ -459,39 +430,10 @@ void run_frontier(const reach::Verifier& verifier,
   out.calls = calls.load(std::memory_order_relaxed);
 }
 
-// One round: deal the frontier round-robin to the shard workers (each a
-// std::thread driving its own work-stealing pool), run them against a
-// shared cell budget, and fold records and leftovers back into the state.
-void run_round(const reach::Verifier& verifier, const ode::ReachAvoidSpec& spec,
-               const nn::Controller& ctrl, const ShardSearchOptions& opt,
-               const reach::TmVerifier* tmv, EngineState& st,
-               std::size_t budget_limit) {
-  const std::size_t nworkers =
-      opt.shard_index == ShardSearchOptions::kAllShards
-          ? std::max<std::size_t>(opt.shards, 1)
-          : 1;
-  std::vector<std::vector<PendingCell>> deal(nworkers);
-  for (std::size_t i = 0; i < st.pending.size(); ++i) {
-    deal[i % nworkers].push_back(std::move(st.pending[i]));
-  }
-  st.pending.clear();
-
-  std::atomic<std::size_t> budget{0};
-  std::vector<FrontierOut> outs(nworkers);
-  const auto run_one = [&](std::size_t w) {
-    run_frontier(verifier, spec, ctrl, opt.base, tmv, std::move(deal[w]),
-                 budget, budget_limit, outs[w]);
-  };
-  if (nworkers == 1) {
-    run_one(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(nworkers - 1);
-    for (std::size_t w = 1; w < nworkers; ++w) threads.emplace_back(run_one, w);
-    run_one(0);
-    for (std::thread& t : threads) t.join();
-  }
-
+// Folds one run's records and leftovers back into the state; the pending
+// frontier is kept in sequence order, so anything dealt from it next is a
+// pure function of the search configuration.
+void absorb(EngineState& st, std::vector<FrontierOut>& outs) {
   for (FrontierOut& o : outs) {
     st.calls += o.calls;
     for (ShardRecord& r : o.records) {
@@ -506,6 +448,52 @@ void run_round(const reach::Verifier& verifier, const ode::ReachAvoidSpec& spec,
             [](const PendingCell& a, const PendingCell& b) {
               return a.seq < b.seq;
             });
+}
+
+std::size_t shard_workers(const ShardSearchOptions& opt) {
+  return opt.shard_index == ShardSearchOptions::kAllShards ? opt.shards : 1;
+}
+
+// Deterministic expansion of the shared tree prefix by one level, on the
+// whole in-process thread budget: every process verifies the same cells,
+// so the next level's frontier — and the round-robin shard partition of
+// it — does not depend on scheduling.
+void expand_prefix_level(const Search& s, EngineState& st) {
+  std::atomic<std::size_t> budget{0};
+  const FrontierLimits lim{
+      parallel::resolve_threads(s.opt.base.threads) * shard_workers(s.opt),
+      st.pending.front().depth, budget,
+      std::numeric_limits<std::size_t>::max()};
+  std::vector<FrontierOut> outs(1);
+  run_frontier(s, std::move(st.pending), lim, outs[0]);
+  st.pending.clear();
+  absorb(st, outs);
+}
+
+// One round: deal the frontier round-robin to the shard workers (each a
+// std::thread driving its own work-stealing pool), run them against a
+// shared cell budget, and fold records and leftovers back into the state.
+void run_round(const Search& s, EngineState& st, std::size_t budget_limit) {
+  const std::size_t nworkers = shard_workers(s.opt);
+  std::vector<std::vector<PendingCell>> deal(nworkers);
+  for (std::size_t i = 0; i < st.pending.size(); ++i) {
+    deal[i % nworkers].push_back(std::move(st.pending[i]));
+  }
+  st.pending.clear();
+
+  std::atomic<std::size_t> budget{0};
+  const FrontierLimits lim{parallel::resolve_threads(s.opt.base.threads),
+                           s.opt.base.max_depth, budget, budget_limit};
+  std::vector<FrontierOut> outs(nworkers);
+  const auto run_one = [&](std::size_t w) {
+    run_frontier(s, std::move(deal[w]), lim, outs[w]);
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(nworkers - 1);
+  for (std::size_t w = 1; w < nworkers; ++w) threads.emplace_back(run_one, w);
+  run_one(0);
+  for (std::thread& t : threads) t.join();
+  absorb(st, outs);
 }
 
 ShardSearchProgress make_progress(const ode::ReachAvoidSpec& spec,
@@ -524,8 +512,7 @@ ShardSearchProgress make_progress(const ode::ReachAvoidSpec& spec,
 EngineState run_engine(const reach::Verifier& verifier,
                        const ode::ReachAvoidSpec& spec,
                        const nn::Controller& ctrl,
-                       const ShardSearchOptions& opt, std::uint64_t fingerprint,
-                       const reach::TmVerifier* tmv) {
+                       const ShardSearchOptions& opt) {
   validate_search_depth(opt.base.max_depth);
   if (opt.shards == 0) {
     throw std::invalid_argument("ShardSearchOptions::shards must be >= 1");
@@ -537,11 +524,14 @@ EngineState run_engine(const reach::Verifier& verifier,
                                 " out of range for " +
                                 std::to_string(opt.shards) + " shards");
   }
+  const Search s{verifier, spec, ctrl, opt,
+                 unwrap_tm(verifier, opt.base.reuse_parent_prefix)};
 
   std::unique_ptr<CheckpointFile> ckpt;
   if (!opt.checkpoint_file.empty()) {
     ckpt = std::make_unique<CheckpointFile>(
-        opt.checkpoint_file, fingerprint,
+        opt.checkpoint_file,
+        xi_search_fingerprint(verifier, spec, ctrl, opt.base),
         static_cast<std::uint32_t>(opt.shards),
         one_shard ? static_cast<std::uint32_t>(opt.shard_index)
                   : kCkptAllShards);
@@ -552,10 +542,12 @@ EngineState run_engine(const reach::Verifier& verifier,
     st = ckpt->take_state();
   } else {
     st.pending.push_back({spec.x0, 0, 1, nullptr});
-    const std::size_t grain = std::max<std::size_t>(opt.prefix_grain, 1);
-    const std::size_t target = opt.shards * grain;
-    while (!st.pending.empty() && st.pending.size() < target) {
-      expand_level(verifier, spec, ctrl, opt, tmv, st);
+    // One shard has nothing to partition, so K = 1 skips the expansion.
+    if (opt.shards > 1) {
+      const std::size_t grain = std::max<std::size_t>(opt.prefix_grain, 1);
+      while (!st.pending.empty() && st.pending.size() < opt.shards * grain) {
+        expand_prefix_level(s, st);
+      }
     }
     if (one_shard) {
       // Round-robin partition of the deterministic prefix frontier; the
@@ -581,7 +573,7 @@ EngineState run_engine(const reach::Verifier& verifier,
               : std::numeric_limits<std::size_t>::max();
   std::size_t rounds = 0;
   while (!st.pending.empty()) {
-    run_round(verifier, spec, ctrl, opt, tmv, st, budget_limit);
+    run_round(s, st, budget_limit);
     ++rounds;
     if (ckpt != nullptr) ckpt->append(st);
     if (opt.progress && !opt.progress(make_progress(spec, st, rounds))) {
@@ -662,12 +654,17 @@ InitialSetResult search_initial_set_sharded(const reach::Verifier& verifier,
         "search_initial_set_sharded runs every shard; use "
         "search_initial_set_shard for a single-shard (multi-process) run");
   }
-  const reach::TmVerifier* tmv =
-      unwrap_tm(verifier, opt.base.reuse_parent_prefix);
-  const std::uint64_t fingerprint =
-      xi_search_fingerprint(verifier, spec, ctrl, opt.base);
-  EngineState st = run_engine(verifier, spec, ctrl, opt, fingerprint, tmv);
+  EngineState st = run_engine(verifier, spec, ctrl, opt);
   return finalize_records(std::move(st.records), spec.x0.volume(), st.calls);
+}
+
+InitialSetResult search_initial_set(const reach::Verifier& verifier,
+                                    const ode::ReachAvoidSpec& spec,
+                                    const nn::Controller& ctrl,
+                                    const InitialSetOptions& opt) {
+  ShardSearchOptions sopt;
+  sopt.base = opt;
+  return search_initial_set_sharded(verifier, spec, ctrl, sopt);
 }
 
 ShardResult search_initial_set_shard(const reach::Verifier& verifier,
@@ -678,14 +675,12 @@ ShardResult search_initial_set_shard(const reach::Verifier& verifier,
     throw std::invalid_argument(
         "search_initial_set_shard requires an explicit shard_index");
   }
-  const reach::TmVerifier* tmv =
-      unwrap_tm(verifier, opt.base.reuse_parent_prefix);
   ShardResult sr;
   sr.fingerprint = xi_search_fingerprint(verifier, spec, ctrl, opt.base);
   sr.shards = static_cast<std::uint32_t>(opt.shards);
   sr.shard_index = static_cast<std::uint32_t>(opt.shard_index);
   sr.includes_prefix = opt.shard_index == 0;
-  EngineState st = run_engine(verifier, spec, ctrl, opt, sr.fingerprint, tmv);
+  EngineState st = run_engine(verifier, spec, ctrl, opt);
   sr.complete = st.pending.empty();
   sr.verifier_calls = st.calls;
   sr.records = std::move(st.records);

@@ -1,16 +1,17 @@
 // Sharded, checkpointable, anytime X_I search (DESIGN.md §16).
 //
-// Scales core::search_initial_set beyond one process without giving up
-// bit-identity. The refinement tree's heap sequence numbers (root 1,
-// children 2s and 2s+1) make every terminal decision globally ordered, so
-// the search can be split into K deterministic subtrees — each run by its
-// own work-stealing frontier with its own thread pool, in-process or in a
-// separate OS process (`dwv search --shard i/K`) — and a merge step that
-// replays terminal records in sequence order reproduces the single-process
+// The one X_I search engine: core::search_initial_set is its one-shard
+// form. It scales beyond one process without giving up bit-identity. The
+// refinement tree's heap sequence numbers (root 1, children 2s and 2s+1)
+// make every terminal decision globally ordered, so the search can be
+// split into K deterministic subtrees — each run by its own work-stealing
+// frontier with its own thread pool, in-process or in a separate OS
+// process (`dwv search --shard i/K`) — and a merge step that replays
+// terminal records in sequence order reproduces the single-process
 // InitialSetResult bit for bit: the same certified/rejected lists, the
 // same volume accumulation order, every bit of the coverage sum, at any
-// K, thread count, or batch width (the PR-5 ordered-replay argument,
-// applied across processes).
+// K, thread count, or batch width (the ordered-replay argument of
+// DESIGN.md §11, applied across processes).
 //
 // Checkpointing serializes the frontier (pending cells + sequence numbers
 // + recorded symbolic prefixes, schedule tapes included) into an
@@ -59,7 +60,7 @@ struct ShardSearchOptions {
   /// The underlying per-shard search configuration. `base.threads` is the
   /// thread count of EACH shard's work-stealing pool (0 = auto), so an
   /// in-process run uses up to shards * resolve_threads(base.threads)
-  /// workers. `base.work_steal` is ignored (shards always work-steal).
+  /// workers, the deterministic prefix expansion included.
   InitialSetOptions base;
   /// Number of deterministic subtree shards K (>= 1).
   std::size_t shards = 1;
@@ -72,6 +73,7 @@ struct ShardSearchOptions {
   /// Target frontier cells PER SHARD before the deterministic prefix
   /// expansion stops and the tree is partitioned (>= 1; more grain =
   /// better load balance, more duplicated prefix work per process).
+  /// Unused at shards = 1: one shard has nothing to partition.
   std::size_t prefix_grain = 8;
   /// Append-only snapshot file (empty = no checkpointing). Created when
   /// missing; a valid existing checkpoint of the SAME configuration
@@ -127,8 +129,9 @@ std::uint64_t xi_search_fingerprint(const reach::Verifier& verifier,
                                     const InitialSetOptions& base);
 
 /// In-process sharded driver: runs all K shards (each a work-stealing
-/// pool) and merges. Bit-identical to search_initial_set at any
-/// shards/threads/batch setting. Requires opt.shard_index == kAllShards.
+/// pool) and merges; search_initial_set is this with K = 1. The result is
+/// bit-identical at any shards/threads/batch setting. Requires
+/// opt.shard_index == kAllShards.
 InitialSetResult search_initial_set_sharded(const reach::Verifier& verifier,
                                             const ode::ReachAvoidSpec& spec,
                                             const nn::Controller& ctrl,

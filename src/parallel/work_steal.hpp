@@ -1,9 +1,9 @@
 // Work-stealing task runner for dynamic task trees (the refinement
-// frontier of search_initial_set). Replaces level-synchronous fan-out:
-// instead of a barrier per refinement level — the whole level waiting on
-// its slowest cell — every worker owns a Chase-Lev deque, pushes spawned
-// children to its own bottom (LIFO: deepest-first, keeping the frontier
-// small) and steals from other workers' tops when empty.
+// frontier of the X_I search, core/search_shard.cpp). There is no barrier
+// per refinement level, so no level waits on its slowest cell: every
+// worker owns a Chase-Lev deque, pushes spawned children to its own
+// bottom (LIFO: deepest-first, keeping the frontier small) and steals
+// from other workers' tops when empty.
 //
 // The deque is the classic Chase-Lev growable ring with the C11
 // memory-order discipline of Le et al., "Correct and Efficient

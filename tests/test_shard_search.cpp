@@ -596,6 +596,32 @@ TEST(ShardSearch, SigkillMidSearchResumesToIdenticalResultBytes) {
   std::remove(ck.c_str());
 }
 
+// Size-valued flags are parsed strictly: a zero or non-numeric shard
+// count must not reach the per-shard thread split (a division by it), and
+// a negative one must not wrap to 2^64 - 1 shards. Each malformed value
+// is a usage error (exit 2), never a signal.
+TEST(ShardSearch, CliRejectsMalformedSizeFlags) {
+  if (::access(DWV_CLI_PATH, X_OK) != 0) {
+    GTEST_SKIP() << "dwv CLI not built at " << DWV_CLI_PATH;
+  }
+  const std::vector<std::vector<std::string>> bad = {
+      {"--shards", "0"},          {"--shards", "abc"},
+      {"--shards", "-1"},         {"--depth", "-1"},
+      {"--threads", "x"},         {"--batch", "-2"},
+      {"--shard-grain", "1.5"},   {"--checkpoint-every", "-8"},
+      {"--shards", "99999999999999999999999"}};
+  for (const std::vector<std::string>& flag : bad) {
+    SCOPED_TRACE(flag[0] + " " + flag[1]);
+    const pid_t pid =
+        spawn_cli({"search", "acc", "--depth", "2", flag[0], flag[1]});
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_FALSE(WIFSIGNALED(status));
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+  }
+}
+
 #endif  // DWV_CLI_PATH
 
 }  // namespace

@@ -71,9 +71,12 @@
 //                             and fall back to SPSA unchanged
 // Search options (dwv search; results are bit-identical at any sharding):
 //   --depth N                 maximum bisection depth (default 7; <= 62)
-//   --shards K                run K subtree shards in this process, each
-//                             with its own work-stealing pool (--threads
-//                             is the TOTAL budget, split across shards)
+//   --shards K                run K >= 1 subtree shards in this process,
+//                             each with its own work-stealing pool
+//                             (--threads is the TOTAL budget, split
+//                             across shards; the prefix expansion before
+//                             the split runs on all of it). K = 1
+//                             (default) is the plain search, no split
 //   --shard I/K               run ONLY subtree shard I of K (one process
 //                             of a K-process run; --threads is per
 //                             process); requires --out, merged later
@@ -92,9 +95,12 @@
 //                             (default 256)
 //   --progress                print the growing certified coverage at
 //                             every round boundary (anytime output)
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "core/initial_set.hpp"
@@ -115,6 +121,11 @@ namespace {
 
 using namespace dwv;
 
+// A malformed command line: main prints the message and exits with 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct Args {
   std::string command;
   std::string benchmark;
@@ -129,6 +140,25 @@ struct Args {
     return it == options.end() ? dflt : std::strtol(it->second.c_str(),
                                                     nullptr, 10);
   }
+  // Size-valued flags (--depth, --threads, --batch, --shards,
+  // --shard-grain, --checkpoint-every) take a plain decimal count >= min.
+  // Anything else — negative or non-numeric text, which strtol would turn
+  // into 0 or a wrapped 2^64 - k — is a usage error (exit 2).
+  std::size_t get_size(const std::string& key, std::size_t dflt,
+                       std::size_t min = 0) const {
+    const auto it = options.find(key);
+    if (it == options.end()) return dflt;
+    const std::string& text = it->second;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    if (text.empty() || text.find_first_not_of("0123456789") !=
+                            std::string::npos ||
+        errno == ERANGE || v < min) {
+      throw UsageError(key + " expects an integer >= " + std::to_string(min) +
+                       " (got '" + text + "')");
+    }
+    return static_cast<std::size_t>(v);
+  }
   double get_double(const std::string& key, double dflt) const {
     const auto it = options.find(key);
     return it == options.end() ? dflt : std::strtod(it->second.c_str(),
@@ -141,7 +171,7 @@ struct Args {
 // (interval::lanes::kWidth), 1 = the sequential pre-batching path.
 std::size_t batch_width(const Args& args) {
   if (args.options.count("--no-batch")) return 1;
-  return static_cast<std::size_t>(args.get_long("--batch", 0));
+  return args.get_size("--batch", 0);
 }
 
 int usage() {
@@ -276,7 +306,7 @@ core::LearnerOptions learner_options(const ode::Benchmark& bench,
   if (args.options.count("--iters")) {
     opt.max_iters = static_cast<std::size_t>(args.get_long("--iters", 200));
   }
-  opt.threads = static_cast<std::size_t>(args.get_long("--threads", 0));
+  opt.threads = args.get_size("--threads", 0);
   opt.batch = batch_width(args);
   opt.cache = args.options.count("--cache") != 0 ||
               args.options.count("--cache-stats") != 0;
@@ -449,7 +479,7 @@ int cmd_verify(const Args& args) {
       rep.facts.safe_certified) {
     // Try the initial-set search: goal-reaching may hold for part of X0.
     core::InitialSetOptions iopt;
-    iopt.threads = static_cast<std::size_t>(args.get_long("--threads", 0));
+    iopt.threads = args.get_size("--threads", 0);
     iopt.batch = batch_width(args);
     iopt.reuse_parent_prefix = args.options.count("--reuse-prefix") != 0;
     const core::InitialSetResult xi =
@@ -483,16 +513,13 @@ int cmd_search(const Args& args) {
   warn_if_sym_rem_ignored(args, verifier);
 
   core::ShardSearchOptions sopt;
-  sopt.base.max_depth =
-      static_cast<std::size_t>(args.get_long("--depth", 7));
+  sopt.base.max_depth = args.get_size("--depth", 7);
   sopt.base.batch = batch_width(args);
   sopt.base.reuse_parent_prefix = args.options.count("--reuse-prefix") != 0;
-  sopt.shards = static_cast<std::size_t>(args.get_long("--shards", 1));
-  sopt.prefix_grain =
-      static_cast<std::size_t>(args.get_long("--shard-grain", 8));
+  sopt.shards = args.get_size("--shards", 1, 1);
+  sopt.prefix_grain = args.get_size("--shard-grain", 8);
   sopt.checkpoint_file = args.get("--checkpoint", "");
-  sopt.checkpoint_every =
-      static_cast<std::size_t>(args.get_long("--checkpoint-every", 256));
+  sopt.checkpoint_every = args.get_size("--checkpoint-every", 256);
   if (args.options.count("--progress")) {
     sopt.progress = [](const core::ShardSearchProgress& p) {
       std::printf(
@@ -522,8 +549,8 @@ int cmd_search(const Args& args) {
 
   // --threads: total budget in-process (split across shards), per process
   // under --shard (each of the K processes gets its own pool).
-  const std::size_t requested = parallel::resolve_threads(
-      static_cast<std::size_t>(args.get_long("--threads", 0)));
+  const std::size_t requested =
+      parallel::resolve_threads(args.get_size("--threads", 0));
   sopt.base.threads =
       one_shard ? requested : std::max<std::size_t>(1, requested / sopt.shards);
 
@@ -676,6 +703,9 @@ int main(int argc, char** argv) {
     if (args.command == "verify") return cmd_verify(args);
     if (args.command == "search") return cmd_search(args);
     if (args.command == "simulate") return cmd_simulate(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "dwv: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
