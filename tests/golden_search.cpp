@@ -7,8 +7,6 @@
 #include <map>
 #include <sstream>
 
-#include "reach/serialize.hpp"
-
 #ifndef DWV_GOLDEN_SEARCH_FILE
 #error "DWV_GOLDEN_SEARCH_FILE must name the golden data file"
 #endif
@@ -40,10 +38,7 @@ std::map<std::string, Golden> load_golden() {
 
 }  // namespace
 
-void expect_golden(const std::string& name, const core::InitialSetResult& r) {
-  reach::ser::Writer w;
-  core::put(w, r);
-  const reach::ser::Bytes& b = w.bytes();
+void expect_golden(const std::string& name, const reach::ser::Bytes& b) {
   const std::uint64_t sum = reach::ser::checksum64(b.data(), b.size());
   std::ostringstream got;
   got << name << ": " << b.size() << " bytes, checksum 0x" << std::hex << sum;
@@ -52,6 +47,12 @@ void expect_golden(const std::string& name, const core::InitialSetResult& r) {
   ASSERT_NE(it, golden.end()) << "no golden entry; got " << got.str();
   EXPECT_EQ(b.size(), it->second.bytes) << got.str();
   EXPECT_EQ(sum, it->second.checksum) << got.str();
+}
+
+void expect_golden(const std::string& name, const core::InitialSetResult& r) {
+  reach::ser::Writer w;
+  core::put(w, r);
+  expect_golden(name, w.bytes());
 }
 
 }  // namespace dwv::golden
