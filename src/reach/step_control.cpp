@@ -37,13 +37,11 @@ void StepController::reset(TmReachStats* stats) {
   cooldown_ = 0;
   ticks_left_ = 0;
   rejects_period_ = 0;
-  tape_.clear();
 }
 
 void StepController::start_period() {
   ticks_left_ = period_ticks_;
   rejects_period_ = 0;
-  tape_.clear();
 }
 
 std::uint64_t StepController::dense_basis(std::uint32_t order) const {
@@ -77,6 +75,7 @@ StepDecision StepController::next() const {
 }
 
 bool StepController::reject() {
+  if (!adaptive_) return false;
   if (stats_) ++stats_->rejects;
   if (++rejects_period_ > reject_budget_) return false;
   cooldown_ = 2;
@@ -94,7 +93,6 @@ bool StepController::reject() {
 
 void StepController::accept(const StepDecision& d, const StepSignals& sig) {
   ticks_left_ -= d.ticks;
-  tape_.push_back(d);
   if (!adaptive_) return;
 
   // Predicted relative defect of a doubled step: the step defect is

@@ -1,5 +1,9 @@
 // Deterministic step-size / truncation-order controller for the TM
-// integrator (DESIGN.md §14). Decisions are pure functions of *computed*
+// integrator (DESIGN.md §14). It is the only substep schedule of the TM
+// drivers: with TmReachOptions::adaptive off it yields the fixed grid (the
+// base step, `substeps` times per period, never rejecting), so the scalar
+// driver, the lockstep lane pools and the gradient dual pass each run one
+// period loop for every mode. Decisions are pure functions of *computed*
 // signals — the remainder-validation attempt count, the Picard convergence
 // index, and the relative defect-range magnitude of the accepted step —
 // never of wall-clock or machine state, so the schedule is bit-identical
@@ -15,17 +19,17 @@
 // bit-identical to the fixed grid's delta/substeps and the period always
 // closes exactly at its end.
 //
-// Accept/reject semantics: a substep whose remainder validation fails is
-// REJECTED — the controller halves h (escalating the order once h bottoms
-// out) and the driver retries from the same state; a capped per-period
-// reject budget turns permanent failure into the same pipe failure the
-// fixed grid reports. Accepted substeps are recorded on a per-period
-// schedule tape (the `(h, order)` sequence) that the symbolic-prefix
-// machinery replays for child cells.
+// Accept/reject semantics: under adaptive control a substep whose
+// remainder validation fails is REJECTED — the controller halves h
+// (escalating the order once h bottoms out) and the driver retries from
+// the same state; a capped per-period reject budget turns permanent
+// failure into the same pipe failure the fixed grid reports. On the fixed
+// grid the first failure is final. The drivers record the accepted
+// `(h, order)` sequence of adaptive periods as the schedule tape that the
+// symbolic-prefix machinery replays for child cells.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "reach/flowpipe.hpp"
 
@@ -68,16 +72,12 @@ class StepController {
   /// integrated state (the Taylor models live over state_dim set variables
   /// plus tau), sizing the dense-basis budget the grow gate compares term
   /// counts against; 0 disables the gate. With opt.adaptive == false the
-  /// controller still yields the fixed grid (base step every time), but
-  /// drivers bypass it entirely on that path.
+  /// controller yields the fixed grid: the base step at opt.order every
+  /// time, and no rejects.
   void configure(const TmReachOptions& opt, double delta,
                  std::size_t state_dim = 0);
 
-  bool adaptive() const { return adaptive_; }
   std::uint32_t order_max() const { return order_max_; }
-  /// Order the next decision will carry (drivers set the controller
-  /// abstraction's truncation order from this at period start).
-  std::uint32_t current_order() const { return cur_order_; }
 
   /// New cell: back to the base step and configured order. `stats` (may be
   /// null) receives reject/escalation counters; the driver itself books
@@ -94,16 +94,13 @@ class StepController {
   /// Containment proof failed at the last decision: halve h, escalating
   /// the order once h is at its floor. Returns false when the per-period
   /// reject budget is exhausted (caller fails the pipe with the step's
-  /// failure string, exactly like the fixed grid).
+  /// failure string), and at once on the fixed grid, where nothing is
+  /// counted.
   bool reject();
 
-  /// Commits an accepted substep: advances the period clock, appends to
-  /// the schedule tape, and adapts the next step from the signals.
+  /// Commits an accepted substep: advances the period clock and, under
+  /// adaptive control, adapts the next step from the signals.
   void accept(const StepDecision& d, const StepSignals& sig);
-
-  /// Accepted decisions of the current period, in order (cleared by
-  /// start_period). The symbolic prefix records this as the replay tape.
-  const std::vector<StepDecision>& period_tape() const { return tape_; }
 
  private:
   double step_h(std::uint64_t ticks) const;
@@ -131,7 +128,6 @@ class StepController {
   // Period state.
   std::uint64_t ticks_left_ = 0;
   std::size_t rejects_period_ = 0;
-  std::vector<StepDecision> tape_;
 
   TmReachStats* stats_ = nullptr;
 };

@@ -889,9 +889,9 @@ struct TmVerifier::Lane {
   //
   // On success: a_step = exp(h J) (endpoint transport, applied to the
   // queue), q_tube = A_tube * Q (the deviation enclosure over the substep).
-  // `hs`/`order` are the substep's own step size and truncation order —
-  // fixed-grid callers pass the lane constants, adaptive callers the
-  // current decision (imat_exp already takes an arbitrary time interval).
+  // `hs`/`order` are the substep's own step size and truncation order, as
+  // the step controller decided them (imat_exp already takes an arbitrary
+  // time interval).
   bool step_transport(const IVec& tube, const IVec& u_rng, double hs,
                       std::uint32_t order, IVec& q_tube) {
     const IVec& q = srq.box();
@@ -927,237 +927,112 @@ struct TmVerifier::Lane {
     return false;
   }
 
-  // One integrated period under the symbolic remainder queue: the state
-  // models stay remainder-free and deviations ride in `srq` (DESIGN.md
-  // §12). Structure mirrors integrate_period below.
-  void integrate_period_sym() {
-    // Move any incoming interval remainder (a replay restriction, the
-    // conventional fallback below) out of the TM channel.
-    {
-      IVec incoming(n);
-      bool any = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        incoming[i] = x[i].rem;
-        x[i].rem = Interval(0.0);
-        any = any || incoming[i].lo() != 0.0 || incoming[i].hi() != 0.0;
-      }
-      if (any) srq.push(incoming);
+  // Moves the interval remainder of x, when nonzero, out of the TM
+  // channel into the symbolic remainder queue.
+  void queue_remainder() {
+    IVec rem(n);
+    bool any = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      rem[i] = x[i].rem;
+      x[i].rem = Interval(0.0);
+      any = any || rem[i].lo() != 0.0 || rem[i].hi() != 0.0;
     }
-
-    // The controller must see the full enclosure, queue included. The
-    // abstraction always runs at the configured base order — escalated
-    // orders apply to the integration steps only (u is an input whose own
-    // degree is independent of the step truncation), keeping the per-period
-    // abstraction cost identical to the fixed grid's.
-    if (v->opt_.adaptive) env.order = v->opt_.order;
-    TmVec x_ctrl = x;
-    for (std::size_t i = 0; i < n; ++i) x_ctrl[i].rem += srq.box()[i];
-    const TmVec u = v->abs_->abstract(env, x_ctrl, *ctrl);
-    const IVec u_rng = taylor::tm_vec_range(env, u);
-
-    IVec period_hull;
-    std::vector<TmVec> tube_rec;
-    if (recording) tube_rec.reserve(v->opt_.substeps);
-    sr.want_tube_tm = recording;
-    if (v->opt_.adaptive) {
-      bool first = true;
-      sc.start_period();
-      while (!sc.period_done()) {
-        const StepDecision d = sc.next();
-        env.order = d.order;
-        set_step_h(d.h);
-        tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
-        if (!sr.ok) {
-          if (sc.reject()) continue;
-          fp.valid = false;
-          fp.failure = sr.failure;
-          done = true;
-          return;
-        }
-
-        IVec q_tube(n);
-        if (!srq.empty()) {
-          if (step_transport(sr.tube_range, u_rng, d.h, d.order, q_tube)) {
-            srq.transport(a_step);
-          } else {
-            // Same concretize-and-redo fallback as the fixed grid below;
-            // the redo itself may reject into a smaller retry (sound: the
-            // concretization only moved the queue box into x).
-            for (std::size_t i = 0; i < n; ++i) x[i].rem += srq.box()[i];
-            srq.clear();
-            q_tube = IVec(n);
-            tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
-            if (!sr.ok) {
-              if (sc.reject()) continue;
-              fp.valid = false;
-              fp.failure = sr.failure;
-              done = true;
-              return;
-            }
-          }
-        }
-
-        sc.accept(d, {sr.attempts, sr.conv_index, sr.defect_rel,
-                      sr.max_poly_terms});
-        fp.tm_stats.note_step(d.h);
-
-        IVec tube_eff = sr.tube_range;
-        tube_eff += q_tube;
-        period_hull =
-            first ? tube_eff : interval::hull(period_hull, tube_eff);
-        first = false;
-        std::swap(x, sr.at_end);
-
-        // Strip this substep's validated local remainder into the queue.
-        {
-          IVec rloc(n);
-          bool any = false;
-          for (std::size_t i = 0; i < n; ++i) {
-            rloc[i] = x[i].rem;
-            x[i].rem = Interval(0.0);
-            any = any || rloc[i].lo() != 0.0 || rloc[i].hi() != 0.0;
-          }
-          if (any) srq.push(rloc);
-        }
-
-        if (recording) {
-          for (std::size_t i = 0; i < n; ++i) sr.tube_tm[i].rem += q_tube[i];
-          tube_rec.push_back(std::move(sr.tube_tm));
-          h_tape.push_back(d.h);
-          order_tape.push_back(d.order);
-        }
-      }
-      ++step;
-      if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
-      return;
-    }
-    for (std::size_t sub = 0; sub < v->opt_.substeps; ++sub) {
-      tm_integrate_step(env, x, u, *v->dynamics_, h, v->opt_, sr);
-      if (!sr.ok) {
-        fp.valid = false;
-        fp.failure = sr.failure;
-        done = true;
-        return;
-      }
-
-      IVec q_tube(n);
-      if (!srq.empty()) {
-        if (step_transport(sr.tube_range, u_rng, h, v->opt_.order, q_tube)) {
-          srq.transport(a_step);
-        } else {
-          // Transport unavailable (dynamics norm beyond the tail bound):
-          // concretize the queue into the step input and redo this substep
-          // conventionally. Sound — the queue box is exactly the interval
-          // remainder the conventional path would have carried.
-          for (std::size_t i = 0; i < n; ++i) x[i].rem += srq.box()[i];
-          srq.clear();
-          q_tube = IVec(n);
-          tm_integrate_step(env, x, u, *v->dynamics_, h, v->opt_, sr);
-          if (!sr.ok) {
-            fp.valid = false;
-            fp.failure = sr.failure;
-            done = true;
-            return;
-          }
-        }
-      }
-
-      fp.tm_stats.note_step(h);
-      IVec tube_eff = sr.tube_range;
-      tube_eff += q_tube;
-      period_hull =
-          (sub == 0) ? tube_eff : interval::hull(period_hull, tube_eff);
-      std::swap(x, sr.at_end);
-
-      // Strip this substep's validated local remainder into the queue.
-      {
-        IVec rloc(n);
-        bool any = false;
-        for (std::size_t i = 0; i < n; ++i) {
-          rloc[i] = x[i].rem;
-          x[i].rem = Interval(0.0);
-          any = any || rloc[i].lo() != 0.0 || rloc[i].hi() != 0.0;
-        }
-        if (any) srq.push(rloc);
-      }
-
-      if (recording) {
-        // Materialize the transported deviation so the recorded tube
-        // stands alone for child restriction.
-        for (std::size_t i = 0; i < n; ++i) sr.tube_tm[i].rem += q_tube[i];
-        tube_rec.push_back(std::move(sr.tube_tm));
-      }
-    }
-    ++step;
-
-    if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
+    if (any) srq.push(rem);
   }
 
-  // One integrated period: controller abstraction + validated substeps.
+  // One integrated period: controller abstraction + validated substeps on
+  // the step controller's schedule (the fixed grid unless adaptive). Under
+  // the symbolic remainder queue the state models stay remainder-free and
+  // deviations ride in `srq` (DESIGN.md §12).
   void integrate_period() {
+    // Queue any incoming interval remainder (a replay restriction, the
+    // conventional fallback below).
+    if (sym_on) queue_remainder();
+
+    // The abstraction always runs at the configured base order — escalated
+    // orders apply to the integration steps only (u is an input whose own
+    // degree is independent of the step truncation), keeping the
+    // per-period abstraction cost identical to the fixed grid's. It must
+    // see the full enclosure, queue included.
+    env.order = v->opt_.order;
+    TmVec x_ctrl;
     if (sym_on) {
-      integrate_period_sym();
-      return;
+      x_ctrl = x;
+      for (std::size_t i = 0; i < n; ++i) x_ctrl[i].rem += srq.box()[i];
     }
-    // Abstraction at the base order (see integrate_period_sym).
-    if (v->opt_.adaptive) env.order = v->opt_.order;
-    const TmVec u = v->abs_->abstract(env, x, *ctrl);
+    const TmVec u = v->abs_->abstract(env, sym_on ? x_ctrl : x, *ctrl);
+    const IVec u_rng = sym_on ? taylor::tm_vec_range(env, u) : IVec();
 
     IVec period_hull;
     std::vector<TmVec> tube_rec;
     if (recording) tube_rec.reserve(v->opt_.substeps);
     sr.want_tube_tm = recording;  // the tube models only feed the prefix
-    if (v->opt_.adaptive) {
-      bool first = true;
-      sc.start_period();
-      while (!sc.period_done()) {
-        const StepDecision d = sc.next();
-        env.order = d.order;
-        set_step_h(d.h);
-        tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
-        if (!sr.ok) {
-          // Rejected: retry the same state at a halved step (or escalated
-          // order), until the per-period budget turns this into the same
-          // failure the fixed grid reports.
-          if (sc.reject()) continue;
-          fp.valid = false;
-          fp.failure = sr.failure;
-          done = true;
-          return;
-        }
-        sc.accept(d, {sr.attempts, sr.conv_index, sr.defect_rel,
-                      sr.max_poly_terms});
-        fp.tm_stats.note_step(d.h);
-        period_hull = first ? sr.tube_range
-                            : interval::hull(period_hull, sr.tube_range);
-        first = false;
-        std::swap(x, sr.at_end);
-        if (recording) {
-          tube_rec.push_back(std::move(sr.tube_tm));
-          h_tape.push_back(d.h);
-          order_tape.push_back(d.order);
+    bool first = true;
+    sc.start_period();
+    while (!sc.period_done()) {
+      const StepDecision d = sc.next();
+      env.order = d.order;
+      set_step_h(d.h);
+      tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
+
+      IVec q_tube;
+      if (sym_on && sr.ok) {
+        q_tube = IVec(n);
+        if (!srq.empty()) {
+          if (step_transport(sr.tube_range, u_rng, d.h, d.order, q_tube)) {
+            srq.transport(a_step);
+          } else {
+            // Transport unavailable (dynamics norm beyond the tail bound):
+            // concretize the queue into the step input and redo this
+            // substep conventionally. Sound — the queue box is exactly the
+            // interval remainder the conventional path would have carried.
+            for (std::size_t i = 0; i < n; ++i) x[i].rem += srq.box()[i];
+            srq.clear();
+            q_tube = IVec(n);
+            tm_integrate_step(env, x, u, *v->dynamics_, d.h, v->opt_, sr);
+          }
         }
       }
-      ++step;
-      if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
-      return;
-    }
-    for (std::size_t sub = 0; sub < v->opt_.substeps; ++sub) {
-      tm_integrate_step(env, x, u, *v->dynamics_, h, v->opt_, sr);
       if (!sr.ok) {
+        // Adaptive: retry the same state at a halved step (or escalated
+        // order) until the per-period budget is spent. The fixed grid
+        // fails at once.
+        if (sc.reject()) continue;
         fp.valid = false;
         fp.failure = sr.failure;
         done = true;
         return;
       }
-      fp.tm_stats.note_step(h);
-      period_hull = (sub == 0) ? sr.tube_range
-                               : interval::hull(period_hull, sr.tube_range);
+
+      sc.accept(d, {sr.attempts, sr.conv_index, sr.defect_rel,
+                    sr.max_poly_terms});
+      fp.tm_stats.note_step(d.h);
+      // The queue's deviation over the substep widens the tube (the step
+      // rewrites sr.tube_range; nothing reads it after this).
+      if (sym_on) sr.tube_range += q_tube;
+      period_hull = first ? sr.tube_range
+                          : interval::hull(period_hull, sr.tube_range);
+      first = false;
       std::swap(x, sr.at_end);
-      if (recording) tube_rec.push_back(std::move(sr.tube_tm));
+      // Queue this substep's validated local remainder.
+      if (sym_on) queue_remainder();
+
+      if (recording) {
+        // Materialize the transported deviation so the recorded tube
+        // stands alone for child restriction.
+        if (sym_on) {
+          for (std::size_t i = 0; i < n; ++i) sr.tube_tm[i].rem += q_tube[i];
+        }
+        tube_rec.push_back(std::move(sr.tube_tm));
+        // Fixed-grid periods record no tape: replay tells them apart by
+        // it (replay_period), and checkpoints serialize it.
+        if (v->opt_.adaptive) {
+          h_tape.push_back(d.h);
+          order_tape.push_back(d.order);
+        }
+      }
     }
     ++step;
-
     if (finish_period(period_hull, std::move(tube_rec)) != 0) done = true;
   }
 

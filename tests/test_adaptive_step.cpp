@@ -1,4 +1,5 @@
 // Adaptive step/order control suite (DESIGN.md §14): option validation,
+// the controller's fixed-grid (adaptive off) schedule,
 // Monte-Carlo soundness of adaptive flowpipes on the paper benchmarks,
 // bit-identical determinism of the adaptive schedule across batch widths,
 // thread counts, and lane backends, the degenerate-controller no-op
@@ -8,6 +9,8 @@
 // Runs under the `parallel` CTest label (batched drivers inside).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -119,6 +122,53 @@ TEST(AdaptiveOptions, NameAndCacheSaltReflectAdaptive) {
   EXPECT_NE(v_on.name().find("adaptive"), std::string::npos);
   EXPECT_NE(v_off.cache_salt(), v_on.cache_salt());
   EXPECT_NE(v_on.cache_salt(), v_loose.cache_salt());
+}
+
+// --- the fixed grid is the controller's base schedule ----------------------
+
+// With adaptive off the controller is the drivers' fixed grid: every
+// decision is delta / substeps (same bits) at the configured order,
+// whatever the step signals say, a period closes after exactly `substeps`
+// accepts, and a failed step is final and uncounted.
+TEST(StepControllerFixedGrid, YieldsBaseStepAndNeverRejects) {
+  for (const std::size_t substeps : {1, 2, 3, 7}) {
+    for (const double delta : {0.1, 0.2, 0.35}) {
+      for (const std::uint32_t halvings : {0u, 4u, 10u}) {
+        SCOPED_TRACE(::testing::Message() << "substeps " << substeps
+                                          << " delta " << delta
+                                          << " halvings " << halvings);
+        TmReachOptions opt;
+        opt.substeps = substeps;
+        opt.order = 4;
+        opt.adaptive_max_halvings = halvings;
+        reach::StepController sc;
+        sc.configure(opt, delta, 2);
+        reach::TmReachStats stats;
+        sc.reset(&stats);
+        const double h = delta / static_cast<double>(substeps);
+        // Signals that would grow (no defect) and shrink (huge defect,
+        // strained proof) an adaptive step.
+        const reach::StepSignals grow{0, 0, 0.0, 1};
+        const reach::StepSignals shrink{5, 9, 1e9, 1000};
+        for (int period = 0; period < 3; ++period) {
+          sc.start_period();
+          for (std::size_t k = 0; k < substeps; ++k) {
+            ASSERT_FALSE(sc.period_done()) << "accept " << k;
+            const reach::StepDecision d = sc.next();
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(d.h),
+                      std::bit_cast<std::uint64_t>(h));
+            EXPECT_EQ(d.order, opt.order);
+            EXPECT_FALSE(sc.reject());
+            sc.accept(d, k % 2 == 0 ? grow : shrink);
+          }
+          EXPECT_TRUE(sc.period_done());
+        }
+        EXPECT_EQ(stats.rejects, 0u);
+        EXPECT_EQ(stats.order_escalations, 0u);
+        EXPECT_EQ(stats.order_reductions, 0u);
+      }
+    }
+  }
 }
 
 // --- soundness ------------------------------------------------------------
