@@ -583,16 +583,22 @@ EngineState run_engine(const reach::Verifier& verifier,
   return st;
 }
 
-// The ordered-replay finalizer shared with merge_shard_results: sort the
-// terminal records by heap sequence number (= breadth-first emission
-// order) and accumulate volumes in that order, reproducing every bit of
-// search_initial_set's coverage sum.
-InitialSetResult finalize_records(std::vector<ShardRecord> records,
-                                  double total_volume, std::uint64_t calls) {
+// Heap sequence number order (= breadth-first emission order): the one
+// order of the terminal records that no thread count or completion timing
+// can change.
+void sort_by_seq(std::vector<ShardRecord>& records) {
   std::sort(records.begin(), records.end(),
             [](const ShardRecord& a, const ShardRecord& b) {
               return a.seq < b.seq;
             });
+}
+
+// The ordered-replay finalizer shared with merge_shard_results: sort the
+// terminal records by sequence number and accumulate volumes in that
+// order, reproducing every bit of search_initial_set's coverage sum.
+InitialSetResult finalize_records(std::vector<ShardRecord> records,
+                                  double total_volume, std::uint64_t calls) {
+  sort_by_seq(records);
   InitialSetResult res;
   res.verifier_calls = static_cast<std::size_t>(calls);
   double certified_volume = 0.0;
@@ -683,7 +689,10 @@ ShardResult search_initial_set_shard(const reach::Verifier& verifier,
   EngineState st = run_engine(verifier, spec, ctrl, opt);
   sr.complete = st.pending.empty();
   sr.verifier_calls = st.calls;
+  // Completion order varies with the thread count; sequence order makes
+  // the shard file a pure function of the search.
   sr.records = std::move(st.records);
+  sort_by_seq(sr.records);
   return sr;
 }
 

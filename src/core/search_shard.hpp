@@ -113,6 +113,8 @@ struct ShardResult {
   /// merge_shard_results refuses incomplete parts.
   bool complete = true;
   std::uint64_t verifier_calls = 0;
+  /// In sequence order, so a shard's file has the same bytes at any
+  /// thread count.
   std::vector<ShardRecord> records;
 };
 

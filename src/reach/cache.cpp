@@ -225,7 +225,8 @@ FlowpipeCache::FlowpipeCache(Config cfg) : cfg_(std::move(cfg)) {
   for (std::size_t k = 0; k < nfiles; ++k) {
     DiskTier::ShardFile& f = tier->files[k];
     f.path = cfg_.dir + "/" + shard_file_name(tier->salt, k);
-    f.fd = ::open(f.path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
+    f.fd = ::open(f.path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
+                  0644);
     if (f.fd < 0) throw_io("open", f.path);
     struct ::stat st{};
     if (::fstat(f.fd, &st) != 0) throw_io("stat", f.path);

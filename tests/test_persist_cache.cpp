@@ -13,6 +13,8 @@
 //     header salts all behave like an empty cache with correct stats.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -470,6 +472,30 @@ TEST(PersistCache, UnwritableDirectoryThrows) {
   fs::create_directories(dir.parent_path());
   { std::ofstream(dir) << "not a directory"; }  // file where the dir goes
   EXPECT_THROW(reach::FlowpipeCache(disk_config(dir)), std::runtime_error);
+}
+
+// The shard logs stay open for the cache's lifetime; a process exec'd
+// meanwhile must not inherit them.
+TEST(PersistCache, ShardLogsAreCloseOnExec) {
+  const fs::path dir = cache_dir("cloexec");
+  reach::FlowpipeCacheConfig cfg = disk_config(dir);
+  cfg.disk_shards = 3;
+  const reach::FlowpipeCache cache(cfg);
+  std::size_t logs = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const fs::path target = fs::read_symlink(e.path(), ec);
+    if (ec || target.extension() != ".dwvfc" ||
+        target.parent_path().filename() != dir.filename()) {
+      continue;
+    }
+    const int flags = ::fcntl(std::stoi(e.path().filename().string()),
+                              F_GETFD);
+    ASSERT_GE(flags, 0) << target;
+    EXPECT_NE(flags & FD_CLOEXEC, 0) << target;
+    ++logs;
+  }
+  EXPECT_EQ(logs, 3u);
 }
 
 TEST(PersistCache, CompactionDropsSupersededAndIsFixpoint) {

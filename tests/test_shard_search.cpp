@@ -218,6 +218,36 @@ TEST(ShardSearch, ShardRunsSerializeAndMergeToSingleProcessBits) {
   expect_bits_eq(merged, single);
 }
 
+// A shard file is a pure function of the search: its records are in
+// sequence order, so saving the same shard at 1 and at 4 threads writes
+// the same bytes.
+TEST(ShardSearch, ShardFileBytesAreThreadCountInvariant) {
+  AccSearch s;
+  std::vector<std::vector<char>> files;
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ShardSearchOptions opt;
+    opt.base.max_depth = 8;
+    opt.base.threads = threads;
+    opt.shards = 2;
+    opt.shard_index = 0;
+    const ShardResult sr =
+        search_initial_set_shard(*s.verifier, s.spec, s.mid, opt);
+    ASSERT_GT(sr.records.size(), 1u);
+    for (std::size_t i = 1; i < sr.records.size(); ++i) {
+      ASSERT_LT(sr.records[i - 1].seq, sr.records[i].seq) << "record " << i;
+    }
+    const std::string path = temp_path("threads" + std::to_string(threads));
+    save_shard_result_file(path, sr);
+    std::ifstream f(path, std::ios::binary);
+    files.emplace_back(std::istreambuf_iterator<char>(f),
+                       std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(files[0].empty());
+  EXPECT_TRUE(files[0] == files[1]);
+}
+
 TEST(ShardSearch, MergeRejectsInconsistentParts) {
   AccSearch s;
   InitialSetOptions base;
