@@ -601,11 +601,12 @@ struct TmVerifier::Lane {
   sym::TransportMemo transport_memo;
   IVec xu;
 
-  // Adaptive step/order schedule (TmReachOptions::adaptive): decisions are
-  // pure functions of per-step computed signals, so every driver — and the
-  // gradient dual pass, whose value channel reproduces the same signal
-  // bits — derives the identical schedule independently. The controller
-  // persists across cells (cheap POD) but is reset per cell.
+  // Substep schedule: the fixed grid, or adaptive steps and orders
+  // (TmReachOptions::adaptive) whose decisions are pure functions of
+  // per-step computed signals, so every driver — and the gradient dual
+  // pass, whose value channel reproduces the same signal bits — derives
+  // the identical schedule independently. The controller persists across
+  // cells (cheap POD) but is reset per cell.
   StepController sc;
   bool streaming = false;
   double pinned_h = 0.0;    ///< tau-domain width the streaming pin holds
