@@ -63,6 +63,22 @@ void BM_EmdExact(benchmark::State& state) {
 }
 BENCHMARK(BM_EmdExact)->Arg(4)->Arg(6)->Arg(8);
 
+// The Wasserstein metric's call shape: 2-D uniform grids of 5 cells per
+// dimension (25 x 25 supports) on overlapping boxes, solved through a
+// reused workspace as core::wasserstein_metrics does.
+void BM_EmdExactMetricShape(benchmark::State& state) {
+  const geom::Box a{interval::Interval(0.0, 1.0), interval::Interval(0.0, 1.0)};
+  const geom::Box b{interval::Interval(0.6, 2.1),
+                    interval::Interval(-0.4, 0.8)};
+  const auto ma = transport::uniform_on_box(a, {5, 5});
+  const auto mb = transport::uniform_on_box(b, {5, 5});
+  transport::TransportWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(transport::w1_exact(ma, mb, ws));
+  }
+}
+BENCHMARK(BM_EmdExactMetricShape);
+
 void BM_Sinkhorn(benchmark::State& state) {
   const std::size_t grid = static_cast<std::size_t>(state.range(0));
   const geom::Box a{interval::Interval(0.0, 1.0), interval::Interval(0.0, 1.0)};
