@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -14,11 +13,18 @@ constexpr double kEps = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Successive-shortest-path core over the flat workspace buffers: fills
-// ws.flow (n*m row-major) and returns the transport cost. Runs exactly the
-// arithmetic of the historical allocating implementation in the same order
-// — the Dijkstra frontier uses push_heap/pop_heap, which is element for
-// element what std::priority_queue is specified to do — so the cost (and
-// the plan) are bit-identical; only the allocations are gone.
+// ws.flow (n*m row-major) and returns the transport cost.
+//
+// Each round runs Dijkstra on the complete bipartite residual graph with
+// a dense frontier: every step settles the unsettled node of least
+// (dist, id), found by a linear scan over the V = n+m nodes, so a round
+// costs O(V^2) where a binary heap with lazy deletion holds up to n*m
+// entries and costs O(n*m log(n*m)). The scan settles nodes in exactly
+// the heap's order: every relaxation strictly lowers dist, so a node's
+// newest heap entry is its least and stale ones compare larger, and
+// std::pair breaks dist ties by id. The distances, predecessors,
+// augmentations and potentials — hence the cost and the plan — are
+// therefore bit-identical to those of the heap solver.
 double emd_core(const DiscreteMeasure& a, const DiscreteMeasure& b,
                 TransportWorkspace& ws) {
   const std::size_t n = a.size();
@@ -42,17 +48,6 @@ double emd_core(const DiscreteMeasure& a, const DiscreteMeasure& b,
   double remaining = 0.0;
   for (std::size_t i = 0; i < n; ++i) remaining += supply[i];
 
-  using Item = std::pair<double, std::size_t>;
-  auto& pq = ws.heap;
-  const auto pq_push = [&pq](Item it) {
-    pq.push_back(it);
-    std::push_heap(pq.begin(), pq.end(), std::greater<>());
-  };
-  const auto pq_pop = [&pq]() {
-    std::pop_heap(pq.begin(), pq.end(), std::greater<>());
-    pq.pop_back();
-  };
-
   const std::size_t max_rounds = 8 * nodes + 64;
   std::size_t rounds = 0;
   while (remaining > kEps) {
@@ -64,43 +59,60 @@ double emd_core(const DiscreteMeasure& a, const DiscreteMeasure& b,
     ws.prev.assign(nodes, -1);  // predecessor node
     double* dist = ws.dist.data();
     int* prev = ws.prev.data();
-    pq.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      if (supply[i] > kEps) {
-        dist[i] = 0.0;
-        pq_push({0.0, i});
-      }
+      if (supply[i] > kEps) dist[i] = 0.0;
     }
     ws.done.assign(nodes, 0);
     char* done = ws.done.data();
-    while (!pq.empty()) {
-      const auto [d, v] = pq.front();
-      pq_pop();
-      if (done[v]) continue;
-      done[v] = 1;
-      if (v < n) {
+    // Least (dist, id) among unsettled reachable nodes, scanned in id
+    // order: strict < keeps the lowest id on ties. The first pick is a
+    // plain scan; afterwards each settle's relaxation pass over the other
+    // side doubles as the scan for the next pick.
+    std::size_t v = nodes;
+    double best = kInf;
+    const auto consider = [&](std::size_t u) {
+      if (dist[u] < best) {
+        best = dist[u];
+        v = u;
+      }
+    };
+    for (std::size_t u = 0; u < nodes; ++u) consider(u);
+    while (v != nodes) {
+      const std::size_t s = v;
+      const double d = best;
+      done[s] = 1;
+      v = nodes;
+      best = kInf;
+      if (s < n) {
         // Source -> every sink (forward edges, infinite capacity).
+        for (std::size_t i = 0; i < n; ++i)
+          if (!done[i]) consider(i);
         for (std::size_t j = 0; j < m; ++j) {
           const std::size_t w = n + j;
-          const double rc = c[v * m + j] + pot[v] - pot[w];
-          if (!done[w] && d + rc < dist[w] - kEps) {
+          if (done[w]) continue;
+          const double rc = c[s * m + j] + pot[s] - pot[w];
+          if (d + rc < dist[w] - kEps) {
             dist[w] = d + rc;
-            prev[w] = static_cast<int>(v);
-            pq_push({dist[w], w});
+            prev[w] = static_cast<int>(s);
           }
+          consider(w);
         }
       } else {
         // Sink -> sources with positive flow (residual edges).
-        const std::size_t j = v - n;
+        const std::size_t j = s - n;
         for (std::size_t i = 0; i < n; ++i) {
-          if (flow[i * m + j] <= kEps) continue;
-          const double rc = -c[i * m + j] + pot[v] - pot[i];
-          if (!done[i] && d + rc < dist[i] - kEps) {
-            dist[i] = d + rc;
-            prev[i] = static_cast<int>(v);
-            pq_push({dist[i], i});
+          if (done[i]) continue;
+          if (flow[i * m + j] > kEps) {
+            const double rc = -c[i * m + j] + pot[s] - pot[i];
+            if (d + rc < dist[i] - kEps) {
+              dist[i] = d + rc;
+              prev[i] = static_cast<int>(s);
+            }
           }
+          consider(i);
         }
+        for (std::size_t w = n; w < nodes; ++w)
+          if (!done[w]) consider(w);
       }
     }
 

@@ -7,11 +7,11 @@
 // of sequential calls; use one workspace per thread for concurrent calls).
 //
 // The workspace paths run exactly the arithmetic of the allocating paths
-// in the same order — the reported distances are bit-identical.
+// in the same order — the reported distances are bit-identical. The EMD
+// state is O(n*m) (cost matrix and plan) plus O(n+m) per-node vectors:
+// the dense Dijkstra scan keeps no frontier structure.
 #pragma once
 
-#include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace dwv::transport {
@@ -27,10 +27,7 @@ struct TransportWorkspace {
   std::vector<double> pot;   ///< Johnson potentials, sources then sinks
   std::vector<double> dist;
   std::vector<int> prev;
-  std::vector<char> done;
-  /// Dijkstra frontier, managed with push_heap/pop_heap — element for
-  /// element the sequence std::priority_queue is specified to produce.
-  std::vector<std::pair<double, std::size_t>> heap;
+  std::vector<char> done;    ///< settled flags of the dense Dijkstra scan
 
   // Sinkhorn log-domain state.
   std::vector<double> loga;
