@@ -1,19 +1,37 @@
 #include "core/export.hpp"
 
+#include <charconv>
 #include <fstream>
-#include <iomanip>
+#include <ostream>
 #include <stdexcept>
 
 namespace dwv::core {
 
+namespace {
+
+// Streams a double as the shortest decimal that reads back (strtod) to the
+// same bits, so an exported bound is exactly the verified one — a fixed
+// precision could round it inward, and the exported box would no longer
+// enclose the flowpipe.
+struct RoundTrip {
+  double v;
+};
+
+std::ostream& operator<<(std::ostream& os, RoundTrip x) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, x.v);
+  return os.write(buf, res.ptr - buf);
+}
+
+}  // namespace
+
 void write_history_csv(std::ostream& os,
                        const std::vector<IterationRecord>& history) {
   os << "iter,d_u,d_g,w_goal,w_unsafe,feasible\n";
-  os << std::setprecision(12);
   for (const auto& r : history) {
-    os << r.iter << ',' << r.geo.d_u << ',' << r.geo.d_g << ','
-       << r.wass.w_goal << ',' << r.wass.w_unsafe << ','
-       << (r.feasible ? 1 : 0) << '\n';
+    os << r.iter << ',' << RoundTrip{r.geo.d_u} << ',' << RoundTrip{r.geo.d_g}
+       << ',' << RoundTrip{r.wass.w_goal} << ','
+       << RoundTrip{r.wass.w_unsafe} << ',' << (r.feasible ? 1 : 0) << '\n';
   }
 }
 
@@ -37,11 +55,11 @@ void write_flowpipe_csv(std::ostream& os, const reach::Flowpipe& fp,
     os << ",x" << d << "_lo,x" << d << "_hi";
   }
   os << '\n';
-  os << std::setprecision(12);
   for (std::size_t k = 0; k < fp.step_sets.size(); ++k) {
-    os << k << ',' << static_cast<double>(k) * delta;
+    os << k << ',' << RoundTrip{static_cast<double>(k) * delta};
     for (std::size_t d = 0; d < dim; ++d) {
-      os << ',' << fp.step_sets[k][d].lo() << ',' << fp.step_sets[k][d].hi();
+      os << ',' << RoundTrip{fp.step_sets[k][d].lo()} << ','
+         << RoundTrip{fp.step_sets[k][d].hi()};
     }
     os << '\n';
   }

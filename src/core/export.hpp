@@ -1,6 +1,8 @@
 // CSV export of learning histories and flowpipes, so the bench binaries'
 // series can be plotted directly (gnuplot/matplotlib-friendly: header line,
-// comma-separated, one record per row).
+// comma-separated, one record per row). Every floating-point field is the
+// shortest decimal that parses back to the same double, so exported
+// flowpipe bounds and metrics keep all their bits.
 #pragma once
 
 #include <iosfwd>
