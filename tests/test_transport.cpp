@@ -94,21 +94,58 @@ TEST(Emd, UnevenSupportSizes) {
   EXPECT_NEAR(w1_exact(a, b), 0.25 * (1 + 2 + 3 + 4), 1e-10);
 }
 
+DiscreteMeasure random_2d_measure(std::mt19937_64& rng, std::size_t n,
+                                  bool weighted) {
+  std::uniform_real_distribution<double> u(-2.0, 2.0);
+  DiscreteMeasure m;
+  for (std::size_t i = 0; i < n; ++i) {
+    m.points.push_back(Vec{u(rng), u(rng)});
+    m.weights.push_back(weighted ? 0.1 + (u(rng) + 2.0) : 1.0);
+  }
+  m.normalize();
+  return m;
+}
+
+// Row sums match a's weights, column sums b's, and the plan's cost is the
+// reported one.
+void expect_plan_marginals(const DiscreteMeasure& a, const DiscreteMeasure& b,
+                           const EmdResult& r) {
+  double cost = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    double row = 0.0;
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      EXPECT_GE(r.plan[i][j], 0.0);
+      row += r.plan[i][j];
+      cost += r.plan[i][j] * (a.points[i] - b.points[j]).norm2();
+    }
+    EXPECT_NEAR(row, a.weights[i], 1e-9) << a.size() << "x" << b.size();
+  }
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    double col = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) col += r.plan[i][j];
+    EXPECT_NEAR(col, b.weights[j], 1e-9) << a.size() << "x" << b.size();
+  }
+  EXPECT_NEAR(cost, r.cost, 1e-9);
+}
+
 TEST(Emd, PlanMarginalsAreRespected) {
   const geom::Box a{Interval(0.0, 1.0)};
   const geom::Box b{Interval(4.0, 6.0)};
   const auto ma = uniform_on_box(a, {3});
   const auto mb = uniform_on_box(b, {5});
-  const EmdResult r = emd_exact(ma, mb);
-  for (std::size_t i = 0; i < ma.size(); ++i) {
-    double row = 0.0;
-    for (std::size_t j = 0; j < mb.size(); ++j) row += r.plan[i][j];
-    EXPECT_NEAR(row, ma.weights[i], 1e-9);
-  }
-  for (std::size_t j = 0; j < mb.size(); ++j) {
-    double col = 0.0;
-    for (std::size_t i = 0; i < ma.size(); ++i) col += r.plan[i][j];
-    EXPECT_NEAR(col, mb.weights[j], 1e-9);
+  expect_plan_marginals(ma, mb, emd_exact(ma, mb));
+
+  // Random non-uniform weights, one workspace across all shapes.
+  std::mt19937_64 rng(11);
+  TransportWorkspace ws;
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 4}, {3, 5}, {7, 2}, {25, 16}, {25, 25}};
+  for (const auto& [n, m] : shapes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto wa = random_2d_measure(rng, n, true);
+      const auto wb = random_2d_measure(rng, m, true);
+      expect_plan_marginals(wa, wb, emd_exact(wa, wb, ws));
+    }
   }
 }
 
@@ -213,18 +250,6 @@ std::uint64_t bits(double v) {
   return u;
 }
 
-DiscreteMeasure random_measure(std::mt19937_64& rng, std::size_t n,
-                               bool weighted) {
-  std::uniform_real_distribution<double> u(-2.0, 2.0);
-  DiscreteMeasure m;
-  for (std::size_t i = 0; i < n; ++i) {
-    m.points.push_back(Vec{u(rng), u(rng)});
-    m.weights.push_back(weighted ? 0.1 + (u(rng) + 2.0) : 1.0);
-  }
-  m.normalize();
-  return m;
-}
-
 // Both solver entry points on one pair: the w1_exact cost, then the
 // emd_exact cost and its plan row by row.
 void put_emd(reach::ser::Writer& w, const DiscreteMeasure& a,
@@ -279,8 +304,8 @@ TEST(EmdGolden, UnequalSizesAndWeights) {
   for (const auto& [n, m] : shapes) {
     for (int k = 0; k < 8; ++k) {
       const bool weighted = k % 2 == 1;
-      const auto a = random_measure(rng, n, weighted);
-      const auto b = random_measure(rng, m, weighted);
+      const auto a = random_2d_measure(rng, n, weighted);
+      const auto b = random_2d_measure(rng, m, weighted);
       put_emd(w, a, b);
       put_emd(w, b, a);
     }
@@ -399,8 +424,8 @@ TEST(EmdWorkspace, ReuseAcrossShapesMatchesFreshAndAllocating) {
       {25, 25}, {3, 5}, {25, 25}, {3, 5}};
   TransportWorkspace shared;
   for (const auto& [n, m] : shapes) {
-    const auto a = random_measure(rng, n, true);
-    const auto b = random_measure(rng, m, true);
+    const auto a = random_2d_measure(rng, n, true);
+    const auto b = random_2d_measure(rng, m, true);
     TransportWorkspace fresh;
     const double c_shared = w1_exact(a, b, shared);
     EXPECT_EQ(bits(c_shared), bits(w1_exact(a, b, fresh)));
@@ -415,36 +440,6 @@ TEST(EmdWorkspace, ReuseAcrossShapesMatchesFreshAndAllocating) {
       for (std::size_t j = 0; j < m; ++j)
         EXPECT_EQ(bits(r_shared.plan[i][j]), bits(r_alloc.plan[i][j]))
             << n << "x" << m << " plan[" << i << "][" << j << "]";
-    }
-  }
-}
-
-TEST(EmdWorkspace, PlanMarginalsOnRandomWeightedMeasures) {
-  std::mt19937_64 rng(11);
-  TransportWorkspace ws;
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 4}, {3, 5}, {7, 2}, {25, 16}, {25, 25}};
-  for (const auto& [n, m] : shapes) {
-    for (int trial = 0; trial < 4; ++trial) {
-      const auto a = random_measure(rng, n, true);
-      const auto b = random_measure(rng, m, true);
-      const EmdResult r = emd_exact(a, b, ws);
-      double cost = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        double row = 0.0;
-        for (std::size_t j = 0; j < m; ++j) {
-          EXPECT_GE(r.plan[i][j], 0.0);
-          row += r.plan[i][j];
-          cost += r.plan[i][j] * (a.points[i] - b.points[j]).norm2();
-        }
-        EXPECT_NEAR(row, a.weights[i], 1e-9) << n << "x" << m;
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        double col = 0.0;
-        for (std::size_t i = 0; i < n; ++i) col += r.plan[i][j];
-        EXPECT_NEAR(col, b.weights[j], 1e-9) << n << "x" << m;
-      }
-      EXPECT_NEAR(cost, r.cost, 1e-9);
     }
   }
 }
