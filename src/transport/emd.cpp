@@ -15,16 +15,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Successive-shortest-path core over the flat workspace buffers: fills
 // ws.flow (n*m row-major) and returns the transport cost.
 //
-// Each round runs Dijkstra on the complete bipartite residual graph with
-// a dense frontier: every step settles the unsettled node of least
-// (dist, id), found by a linear scan over the V = n+m nodes, so a round
-// costs O(V^2) where a binary heap with lazy deletion holds up to n*m
-// entries and costs O(n*m log(n*m)). The scan settles nodes in exactly
-// the heap's order: every relaxation strictly lowers dist, so a node's
-// newest heap entry is its least and stale ones compare larger, and
-// std::pair breaks dist ties by id. The distances, predecessors,
-// augmentations and potentials — hence the cost and the plan — are
-// therefore bit-identical to those of the heap solver.
+// Each round runs Dijkstra with a dense frontier: every step settles the
+// unsettled node of least (dist, id), found by a linear scan over the
+// V = n+m nodes, so a round costs O(V^2) on the complete bipartite graph.
+// That is the order a binary heap with lazy deletion pops in (every
+// relaxation strictly lowers dist; std::pair breaks ties by id), so the
+// cost and plan keep the heap solver's bits (DESIGN.md §6; the EmdGolden
+// entries of tests/golden_search.txt pin them).
 double emd_core(const DiscreteMeasure& a, const DiscreteMeasure& b,
                 TransportWorkspace& ws) {
   const std::size_t n = a.size();
