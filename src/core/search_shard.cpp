@@ -1,15 +1,11 @@
 #include "core/search_shard.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -17,6 +13,7 @@
 #include "core/verdict.hpp"
 #include "parallel/pool.hpp"
 #include "parallel/work_steal.hpp"
+#include "reach/append_log.hpp"
 #include "reach/batch.hpp"
 #include "reach/cache.hpp"
 #include "reach/tm_flowpipe.hpp"
@@ -28,13 +25,14 @@ namespace {
 namespace ser = reach::ser;
 
 // --- File format constants ----------------------------------------------
-// Shard result file:  "DWVXISH1" magic, version, reserved, one framed
-// (len + checksum64 + payload) ShardResult record.
-// Search result file: "DWVXIRS1" magic, same framing, payload =
+// Every file uses the record frame of reach/append_log.hpp.
+// Shard result file:  "DWVXISH1" one-record framed file, payload =
+// ShardResult.
+// Search result file: "DWVXIRS1" one-record framed file, payload =
 // fingerprint + InitialSetResult.
 // Checkpoint file:    "DWVCKPT1" magic + configuration-binding header,
-// then framed full-state snapshots appended at round boundaries; the LAST
-// intact snapshot wins and any torn tail is truncated on load.
+// then full-state snapshots appended at round boundaries (an append
+// log); the LAST intact snapshot wins.
 constexpr std::uint64_t kShardMagic = 0x3148534958565744ull;   // DWVXISH1
 constexpr std::uint64_t kResultMagic = 0x3153524958565744ull;  // DWVXIRS1
 constexpr std::uint64_t kCkptMagic = 0x3154504b43565744ull;    // DWVCKPT1
@@ -42,7 +40,6 @@ constexpr std::uint32_t kFileVersion = 1;
 constexpr std::uint32_t kCkptAllShards = 0xffffffffu;
 // magic + version + shards + fingerprint + shard_index.
 constexpr std::size_t kCkptHeaderSize = 8 + 4 + 4 + 8 + 4;
-constexpr std::size_t kFrameSize = 16;  // len:u64 + checksum:u64
 
 // An undecided frontier cell. `seq` is the heap sequence number (root 1,
 // children 2s and 2s+1); `parent` is the parent cell's recorded symbolic
@@ -146,150 +143,68 @@ bool get_state(ser::Reader& r, EngineState& out) {
   return r.ok() && r.remaining() == 0;
 }
 
-// --- POSIX helpers ------------------------------------------------------
-
-void write_all(int fd, const std::uint8_t* data, std::size_t n,
-               const std::string& path) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
-    if (w <= 0) {
-      throw std::runtime_error("error: short write to checkpoint file " +
-                               path);
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-}
-
-ser::Bytes read_whole_file(const std::string& path, bool* exists) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (exists != nullptr) {
-      *exists = false;
-      return {};
-    }
-    throw std::runtime_error("cannot open " + path);
-  }
-  if (exists != nullptr) *exists = true;
-  ser::Bytes data;
-  std::uint8_t buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    data.insert(data.end(), buf, buf + got);
-  }
-  const bool err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (err) throw std::runtime_error("cannot read " + path);
-  return data;
-}
-
-void write_whole_file(const std::string& path, const ser::Bytes& data) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw std::runtime_error("cannot create " + path);
-  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  if (std::fclose(f) != 0 || !ok) {
-    throw std::runtime_error("cannot write " + path);
-  }
-}
-
 // --- Checkpoint file ----------------------------------------------------
-// Append-only: a fixed header binding the file to one search configuration
-// (fingerprint + shard layout), then framed snapshots. Loading scans
-// forward, keeps the LAST snapshot whose length, checksum, and payload all
-// validate, and truncates everything after it (the torn tail a kill -9
-// mid-append leaves behind). Appends are a single write(), so an
-// interrupted append can only damage the tail, never an older snapshot.
-class CheckpointFile {
- public:
-  CheckpointFile(const std::string& path, std::uint64_t fingerprint,
-                 std::uint32_t shards, std::uint32_t shard_index)
-      : path_(path) {
-    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-    if (fd_ < 0) {
-      throw std::runtime_error("cannot open checkpoint file " + path);
-    }
-    const ser::Bytes data = read_whole_file(path, nullptr);
-    if (data.empty()) {
-      ser::Writer w;
-      w.u64(kCkptMagic);
-      w.u32(kFileVersion);
-      w.u32(shards);
-      w.u64(fingerprint);
-      w.u32(shard_index);
-      write_all(fd_, w.bytes().data(), w.bytes().size(), path_);
-      return;
-    }
-    if (data.size() < kCkptHeaderSize) {
-      throw std::runtime_error("checkpoint file " + path +
-                               " is truncated mid-header; delete it to "
-                               "restart the search");
-    }
-    ser::Reader h(data.data(), kCkptHeaderSize);
-    if (h.u64() != kCkptMagic || h.u32() != kFileVersion) {
-      throw std::runtime_error(path + " is not a dwv checkpoint file");
-    }
-    if (h.u32() != shards || h.u64() != fingerprint ||
-        h.u32() != shard_index) {
-      throw std::runtime_error(
-          "checkpoint file " + path +
-          " was written by a different search configuration (verifier, "
-          "controller, spec, depth, or shard layout); delete it to restart");
-    }
-    // Scan to the last intact snapshot; truncate anything after it.
-    std::size_t pos = kCkptHeaderSize;
-    std::size_t valid_end = kCkptHeaderSize;
-    while (data.size() - pos >= kFrameSize) {
-      ser::Reader fr(data.data() + pos, kFrameSize);
-      const std::uint64_t len = fr.u64();
-      const std::uint64_t sum = fr.u64();
-      if (len > data.size() - pos - kFrameSize) break;
-      const std::uint8_t* payload = data.data() + pos + kFrameSize;
-      if (ser::checksum64(payload, static_cast<std::size_t>(len)) != sum) {
-        break;
-      }
-      ser::Reader pr(payload, static_cast<std::size_t>(len));
-      EngineState cand;
-      if (!get_state(pr, cand)) break;
-      state_ = std::move(cand);
-      loaded_ = true;
-      pos += kFrameSize + static_cast<std::size_t>(len);
-      valid_end = pos;
-    }
-    if (valid_end != data.size()) {
-      if (::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0) {
-        throw std::runtime_error("cannot truncate torn checkpoint tail of " +
-                                 path_);
-      }
-    }
-  }
+// An append log whose header binds it to one search configuration
+// (fingerprint + shard layout), with one full-state snapshot per record.
 
-  ~CheckpointFile() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  CheckpointFile(const CheckpointFile&) = delete;
-  CheckpointFile& operator=(const CheckpointFile&) = delete;
+ser::Bytes checkpoint_header(std::uint64_t fingerprint, std::uint32_t shards,
+                             std::uint32_t shard_index) {
+  ser::Writer w;
+  w.u64(kCkptMagic);
+  w.u32(kFileVersion);
+  w.u32(shards);
+  w.u64(fingerprint);
+  w.u32(shard_index);
+  return w.take();
+}
 
-  bool has_snapshot() const { return loaded_; }
-  EngineState take_state() { return std::move(state_); }
+// Opens (or creates) the checkpoint at `path` and loads its LAST snapshot
+// whose frame and payload both validate into `st`, setting `loaded`; the
+// log cuts off anything after it (the torn tail of a kill -9 mid-append).
+// A file of another format or configuration throws.
+ser::AppendLog open_checkpoint(const std::string& path,
+                               const ser::Bytes& header, EngineState& st,
+                               bool& loaded) {
+  constexpr std::size_t kFormatBytes = 8 + 4;  // magic + version
+  ser::AppendLog log(
+      path, header,
+      [&](const std::uint8_t* data, std::size_t size) {
+        if (size < kCkptHeaderSize) {
+          throw std::runtime_error("checkpoint file " + path +
+                                   " is truncated mid-header; delete it to "
+                                   "restart the search");
+        }
+        if (!std::equal(header.begin(), header.begin() + kFormatBytes,
+                        data)) {
+          throw std::runtime_error(path + " is not a dwv checkpoint file");
+        }
+        if (!std::equal(header.begin() + kFormatBytes, header.end(),
+                        data + kFormatBytes)) {
+          throw std::runtime_error(
+              "checkpoint file " + path +
+              " was written by a different search configuration (verifier, "
+              "controller, spec, depth, or shard layout); delete it to "
+              "restart");
+        }
+        return true;
+      },
+      [&](const std::uint8_t* payload, std::size_t len, std::uint64_t) {
+        ser::Reader r(payload, len);
+        EngineState cand;
+        if (!get_state(r, cand)) return false;
+        st = std::move(cand);
+        loaded = true;
+        return true;
+      });
+  log.unmap();  // a checkpoint is never read back within a run
+  return log;
+}
 
-  void append(const EngineState& st) {
-    ser::Writer pw;
-    put_state(pw, st);
-    const ser::Bytes payload = pw.take();
-    ser::Writer w;
-    w.u64(payload.size());
-    w.u64(ser::checksum64(payload.data(), payload.size()));
-    ser::Bytes frame = w.take();
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    write_all(fd_, frame.data(), frame.size(), path_);
-  }
-
- private:
-  std::string path_;
-  int fd_ = -1;
-  bool loaded_ = false;
-  EngineState state_;
-};
+void append_snapshot(ser::AppendLog& log, const EngineState& st) {
+  ser::Writer w;
+  put_state(w, st);
+  log.append(w.bytes());
+}
 
 // --- Engine -------------------------------------------------------------
 
@@ -527,20 +442,21 @@ EngineState run_engine(const reach::Verifier& verifier,
   const Search s{verifier, spec, ctrl, opt,
                  unwrap_tm(verifier, opt.base.reuse_parent_prefix)};
 
-  std::unique_ptr<CheckpointFile> ckpt;
+  EngineState st;
+  bool resumed = false;
+  std::optional<ser::AppendLog> ckpt;
   if (!opt.checkpoint_file.empty()) {
-    ckpt = std::make_unique<CheckpointFile>(
+    ckpt.emplace(open_checkpoint(
         opt.checkpoint_file,
-        xi_search_fingerprint(verifier, spec, ctrl, opt.base),
-        static_cast<std::uint32_t>(opt.shards),
-        one_shard ? static_cast<std::uint32_t>(opt.shard_index)
-                  : kCkptAllShards);
+        checkpoint_header(
+            xi_search_fingerprint(verifier, spec, ctrl, opt.base),
+            static_cast<std::uint32_t>(opt.shards),
+            one_shard ? static_cast<std::uint32_t>(opt.shard_index)
+                      : kCkptAllShards),
+        st, resumed));
   }
 
-  EngineState st;
-  if (ckpt != nullptr && ckpt->has_snapshot()) {
-    st = ckpt->take_state();
-  } else {
+  if (!resumed) {
     st.pending.push_back({spec.x0, 0, 1, nullptr});
     // One shard has nothing to partition, so K = 1 skips the expansion.
     if (opt.shards > 1) {
@@ -564,10 +480,10 @@ EngineState run_engine(const reach::Verifier& verifier,
       }
       st.pending = std::move(mine);
     }
-    if (ckpt != nullptr) ckpt->append(st);
+    if (ckpt) append_snapshot(*ckpt, st);
   }
 
-  const bool bounded = ckpt != nullptr || opt.progress != nullptr;
+  const bool bounded = ckpt.has_value() || opt.progress != nullptr;
   const std::size_t budget_limit =
       bounded ? std::max<std::size_t>(opt.checkpoint_every, 1)
               : std::numeric_limits<std::size_t>::max();
@@ -575,7 +491,7 @@ EngineState run_engine(const reach::Verifier& verifier,
   while (!st.pending.empty()) {
     run_round(s, st, budget_limit);
     ++rounds;
-    if (ckpt != nullptr) ckpt->append(st);
+    if (ckpt) append_snapshot(*ckpt, st);
     if (opt.progress && !opt.progress(make_progress(spec, st, rounds))) {
       break;  // anytime cancel: st holds a sound partial result
     }
@@ -801,52 +717,15 @@ bool get(ser::Reader& r, ShardResult& out) {
   return r.ok();
 }
 
-namespace {
-
-ser::Bytes framed_file_bytes(std::uint64_t magic, const ser::Bytes& payload) {
-  ser::Writer w;
-  w.u64(magic);
-  w.u32(kFileVersion);
-  w.u32(0);  // reserved
-  w.u64(payload.size());
-  w.u64(ser::checksum64(payload.data(), payload.size()));
-  ser::Bytes out = w.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-ser::Bytes open_framed_file(const std::string& path, std::uint64_t magic) {
-  const ser::Bytes data = read_whole_file(path, nullptr);
-  constexpr std::size_t kHeader = 8 + 4 + 4 + kFrameSize;
-  if (data.size() < kHeader) {
-    throw std::runtime_error(path + ": truncated dwv result file");
-  }
-  ser::Reader h(data.data(), kHeader);
-  if (h.u64() != magic || h.u32() != kFileVersion) {
-    throw std::runtime_error(path + ": not the expected dwv result format");
-  }
-  h.u32();  // reserved
-  const std::uint64_t len = h.u64();
-  const std::uint64_t sum = h.u64();
-  if (len != data.size() - kHeader ||
-      ser::checksum64(data.data() + kHeader, static_cast<std::size_t>(len)) !=
-          sum) {
-    throw std::runtime_error(path + ": corrupt dwv result file");
-  }
-  return ser::Bytes(data.begin() + static_cast<std::ptrdiff_t>(kHeader),
-                    data.end());
-}
-
-}  // namespace
-
 void save_shard_result_file(const std::string& path, const ShardResult& v) {
   ser::Writer w;
   put(w, v);
-  write_whole_file(path, framed_file_bytes(kShardMagic, w.bytes()));
+  ser::write_framed_file(path, kShardMagic, kFileVersion, w.bytes());
 }
 
 ShardResult load_shard_result_file(const std::string& path) {
-  const ser::Bytes payload = open_framed_file(path, kShardMagic);
+  const ser::Bytes payload =
+      ser::read_framed_file(path, kShardMagic, kFileVersion);
   ser::Reader r(payload);
   ShardResult out;
   if (!get(r, out) || r.remaining() != 0) {
@@ -861,12 +740,13 @@ void save_initial_set_result_file(const std::string& path,
   ser::Writer w;
   w.u64(fingerprint);
   put(w, v);
-  write_whole_file(path, framed_file_bytes(kResultMagic, w.bytes()));
+  ser::write_framed_file(path, kResultMagic, kFileVersion, w.bytes());
 }
 
 InitialSetResult load_initial_set_result_file(const std::string& path,
                                               std::uint64_t* fingerprint) {
-  const ser::Bytes payload = open_framed_file(path, kResultMagic);
+  const ser::Bytes payload =
+      ser::read_framed_file(path, kResultMagic, kFileVersion);
   ser::Reader r(payload);
   const std::uint64_t fp = r.u64();
   InitialSetResult out;

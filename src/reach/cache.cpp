@@ -1,18 +1,12 @@
 #include "reach/cache.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <bit>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 
+#include "reach/append_log.hpp"
 #include "reach/serialize.hpp"
 
 namespace dwv::reach {
@@ -47,29 +41,19 @@ std::uint64_t now_ns() {
 
 // --- Persistent-tier on-disk format (DESIGN.md §15) ---------------------
 //
-// File   = Header Record*
-// Header = magic:u64 version:u32 reserved:u32 salt:u64        (24 bytes)
-// Record = payload_len:u64 checksum:u64 payload               (16 + len)
+// Each shard file is a ser::AppendLog (reach/append_log.hpp):
+// Header  = magic:u64 version:u32 reserved:u32 salt:u64        (24 bytes)
 // payload = key.id:u64 nwords:u64 word:u64*nwords flowpipe(ser::put)
 //
-// Logs are append-only: every insert appends one framed record (last
-// record per key wins), `compact_cache_dir` rewrites live records and
-// publishes by rename. The header's salt repeats the salt hex in the
-// file name; both must match the opener's configuration or the file is
-// treated as cold. The checksum covers the payload, so a torn append or
-// flipped byte invalidates exactly that record; the open-time scan stops
-// at the first invalid record and truncates the torn tail away.
+// Every insert appends one framed record (last record per key wins);
+// `compact_cache_dir` rewrites live records and publishes by rename. The
+// header's salt repeats the salt hex in the file name; both must match
+// the opener's configuration or the file is reset to cold.
 
 // "DWVFCAC1" little-endian: cache-format magic, version in the last byte.
 constexpr std::uint64_t kDiskMagic = 0x3143414346565744ull;
 constexpr std::uint32_t kDiskVersion = 1;
 constexpr std::size_t kHeaderSize = 24;
-constexpr std::size_t kFrameSize = 16;
-
-[[noreturn]] void throw_io(const std::string& what, const std::string& path) {
-  throw std::runtime_error("cache-dir " + what + " failed for '" + path +
-                           "': " + std::strerror(errno));
-}
 
 std::string shard_file_name(std::uint64_t salt, std::size_t shard) {
   char buf[64];
@@ -107,29 +91,31 @@ struct ScannedRecord {
   std::uint64_t payload_len = 0;  ///< payload bytes (frame adds 16)
 };
 
-/// Walks `data` (a full shard file) and appends every valid record.
-/// Returns the offset one past the last valid record — the truncation
-/// point for a torn tail. Stops at the first invalid record: offsets
-/// after a corrupt length field cannot be trusted.
-std::uint64_t scan_records(const std::uint8_t* data, std::uint64_t size,
-                           std::vector<ScannedRecord>& out) {
-  std::uint64_t pos = kHeaderSize;
-  while (pos + kFrameSize <= size) {
-    ser::Reader fr(data + pos, kFrameSize);
-    const std::uint64_t len = fr.u64();
-    const std::uint64_t sum = fr.u64();
-    if (len > size - pos - kFrameSize) break;  // truncated / corrupt length
-    const std::uint8_t* payload = data + pos + kFrameSize;
-    if (ser::checksum64(payload, static_cast<std::size_t>(len)) != sum) break;
-    ser::Reader pr(payload, static_cast<std::size_t>(len));
+/// A scan visitor collecting every record whose key parses; a record
+/// whose key does not parse ends the scan like a failed checksum.
+ser::RecordVisitor collect_records(std::vector<ScannedRecord>& out) {
+  return [&out](const std::uint8_t* payload, std::size_t len,
+                std::uint64_t frame_off) {
+    ser::Reader pr(payload, len);
     ScannedRecord rec;
-    if (!parse_payload_key(pr, rec.key)) break;
-    rec.frame_off = pos;
+    if (!parse_payload_key(pr, rec.key)) return false;
+    rec.frame_off = frame_off;
     rec.payload_len = len;
     out.push_back(std::move(rec));
-    pos += kFrameSize + len;
-  }
-  return pos;
+    return true;
+  };
+}
+
+/// Whether a shard file's header is this configuration's: magic, version
+/// and salt must match (the reserved word is ignored).
+bool header_matches(const std::uint8_t* data, std::size_t size,
+                    std::uint64_t salt) {
+  if (size < kHeaderSize) return false;
+  ser::Reader hr(data, kHeaderSize);
+  const bool magic_ok = hr.u64() == kDiskMagic;
+  const bool version_ok = hr.u32() == kDiskVersion;
+  hr.u32();  // reserved
+  return magic_ok && version_ok && hr.u64() == salt && hr.ok();
 }
 
 }  // namespace
@@ -140,26 +126,10 @@ struct FlowpipeCache::DiskTier {
     std::uint64_t payload_off = 0;
     std::uint64_t payload_len = 0;
   };
-  struct ShardFile {
-    std::string path;
-    int fd = -1;
-    std::uint8_t* map = nullptr;  ///< valid prefix mapped at open (RO)
-    std::size_t map_len = 0;
-    std::uint64_t size = 0;  ///< logical size incl. this-run appends
-  };
 
-  std::string dir;
-  std::uint64_t salt = 0;
-  std::vector<ShardFile> files;
+  std::vector<ser::AppendLog> files;  ///< one log per disk shard
   std::unordered_map<Key, Loc, KeyHash> index;
   std::mutex mu;
-
-  ~DiskTier() {
-    for (ShardFile& f : files) {
-      if (f.map != nullptr) ::munmap(f.map, f.map_len);
-      if (f.fd >= 0) ::close(f.fd);
-    }
-  }
 };
 
 std::uint64_t hash_words(std::uint64_t seed, const std::uint64_t* words,
@@ -209,8 +179,6 @@ FlowpipeCache::FlowpipeCache(Config cfg) : cfg_(std::move(cfg)) {
   // user asked for persistence, and running silently cold would break the
   // warm-start contract. Unreadable CONTENT only degrades to cold.
   auto tier = std::make_unique<DiskTier>();
-  tier->dir = cfg_.dir;
-  tier->salt = cfg_.disk_salt ^ cfg_.disk_salt_mix;
   {
     std::error_code ec;
     std::filesystem::create_directories(cfg_.dir, ec);
@@ -220,64 +188,26 @@ FlowpipeCache::FlowpipeCache(Config cfg) : cfg_(std::move(cfg)) {
     }
   }
   const std::size_t nfiles = cfg_.disk_shards == 0 ? 1 : cfg_.disk_shards;
-  tier->files.resize(nfiles);
-  const ser::Bytes header = header_bytes(tier->salt);
+  tier->files.reserve(nfiles);
+  const std::uint64_t salt = cfg_.disk_salt ^ cfg_.disk_salt_mix;
+  const ser::Bytes header = header_bytes(salt);
   for (std::size_t k = 0; k < nfiles; ++k) {
-    DiskTier::ShardFile& f = tier->files[k];
-    f.path = cfg_.dir + "/" + shard_file_name(tier->salt, k);
-    f.fd = ::open(f.path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
-                  0644);
-    if (f.fd < 0) throw_io("open", f.path);
-    struct ::stat st{};
-    if (::fstat(f.fd, &st) != 0) throw_io("stat", f.path);
-    std::uint64_t valid_end = 0;
-    if (static_cast<std::uint64_t>(st.st_size) >= kHeaderSize) {
-      // Map the whole file once for the open-time scan; the map of the
-      // valid prefix is kept for reads (records are immutable once
-      // written, so the mapping never goes stale).
-      void* m = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                       PROT_READ, MAP_PRIVATE, f.fd, 0);
-      if (m == MAP_FAILED) throw_io("mmap", f.path);
-      const auto* data = static_cast<const std::uint8_t*>(m);
-      ser::Reader hr(data, kHeaderSize);
-      const bool header_ok = hr.u64() == kDiskMagic &&
-                             hr.u32() == kDiskVersion &&
-                             (hr.u32(), hr.u64() == tier->salt) && hr.ok();
-      if (header_ok) {
-        std::vector<ScannedRecord> recs;
-        valid_end = scan_records(data, static_cast<std::uint64_t>(st.st_size),
-                                 recs);
-        for (ScannedRecord& rec : recs) {
-          // Later records supersede earlier ones (append-only last-wins).
-          tier->index[std::move(rec.key)] = DiskTier::Loc{
-              static_cast<std::uint32_t>(k), rec.frame_off + kFrameSize,
-              rec.payload_len};
-        }
-        f.map = static_cast<std::uint8_t*>(m);
-        f.map_len = static_cast<std::size_t>(st.st_size);
-      } else {
-        // Foreign magic, stale version, or mismatched salt: cold. The
-        // file name is OURS (salt-hex prefix), so rewriting it cannot
-        // clobber a concurrently-used configuration.
-        ::munmap(m, static_cast<std::size_t>(st.st_size));
-      }
+    // Foreign magic, stale version, or mismatched salt: cold. The file
+    // name is OURS (salt-hex prefix), so resetting it cannot clobber a
+    // concurrently-used configuration.
+    std::vector<ScannedRecord> recs;
+    tier->files.emplace_back(
+        cfg_.dir + "/" + shard_file_name(salt, k), header,
+        [salt](const std::uint8_t* data, std::size_t size) {
+          return header_matches(data, size, salt);
+        },
+        collect_records(recs));
+    for (ScannedRecord& rec : recs) {
+      // Later records supersede earlier ones (append-only last-wins).
+      tier->index[std::move(rec.key)] =
+          DiskTier::Loc{static_cast<std::uint32_t>(k),
+                        rec.frame_off + ser::kFrameSize, rec.payload_len};
     }
-    if (valid_end == 0) {
-      if (::ftruncate(f.fd, 0) != 0) throw_io("truncate", f.path);
-      if (::write(f.fd, header.data(), header.size()) !=
-          static_cast<ssize_t>(header.size())) {
-        throw_io("write", f.path);
-      }
-      valid_end = kHeaderSize;
-    } else if (valid_end < static_cast<std::uint64_t>(st.st_size)) {
-      // Torn tail from a crashed append: drop it so this run's appends
-      // land at a record boundary and stay reachable by the next scan.
-      if (::ftruncate(f.fd, static_cast<off_t>(valid_end)) != 0) {
-        throw_io("truncate", f.path);
-      }
-    }
-    f.size = valid_end;
-    if (f.map_len > valid_end) f.map_len = static_cast<std::size_t>(valid_end);
   }
   disk_ = std::move(tier);
 }
@@ -310,29 +240,16 @@ std::uint64_t FlowpipeCache::mem_insert(const Key& key, const Flowpipe& fp) {
 std::optional<Flowpipe> FlowpipeCache::disk_fetch(const Key& key) {
   if (!disk_) return std::nullopt;
   DiskTier::Loc loc;
-  const std::uint8_t* mapped = nullptr;
-  int fd = -1;
   {
     std::lock_guard<std::mutex> lock(disk_->mu);
     const auto it = disk_->index.find(key);
     if (it == disk_->index.end()) return std::nullopt;
     loc = it->second;
-    const DiskTier::ShardFile& f = disk_->files[loc.file];
-    if (loc.payload_off + loc.payload_len <= f.map_len) {
-      mapped = f.map + loc.payload_off;  // immutable once written
-    } else {
-      fd = f.fd;  // appended after the open-time map: pread fallback
-    }
   }
-  std::vector<std::uint8_t> buf;
-  const std::uint8_t* payload = mapped;
-  if (payload == nullptr) {
-    buf.resize(static_cast<std::size_t>(loc.payload_len));
-    const ssize_t got = ::pread(fd, buf.data(), buf.size(),
-                                static_cast<off_t>(loc.payload_off));
-    if (got != static_cast<ssize_t>(buf.size())) return std::nullopt;
-    payload = buf.data();
-  }
+  ser::Bytes buf;
+  const std::uint8_t* payload =
+      disk_->files[loc.file].read(loc.payload_off, loc.payload_len, buf);
+  if (payload == nullptr) return std::nullopt;
   // The index only holds checksum-verified records, but verify structure
   // anyway: a parse failure is a miss, never an error.
   ser::Reader r(payload, static_cast<std::size_t>(loc.payload_len));
@@ -352,28 +269,15 @@ void FlowpipeCache::disk_append(const Key& key, const Flowpipe& fp) {
   for (std::uint64_t word : key.words) w.u64(word);
   ser::put(w, fp);
   const ser::Bytes payload = w.take();
-  ser::Writer frame;
-  frame.u64(payload.size());
-  frame.u64(ser::checksum64(payload.data(), payload.size()));
-  ser::Bytes bytes = frame.take();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
 
   std::lock_guard<std::mutex> lock(disk_->mu);
   if (disk_->index.count(key) != 0) return;  // already persisted
   const std::size_t k = key.hash % disk_->files.size();
-  DiskTier::ShardFile& f = disk_->files[k];
-  // One O_APPEND write per record: concurrent appends (all serialized by
-  // mu anyway) land whole, and a crash can only tear the LAST record —
-  // which the next open's scan drops.
-  if (::write(f.fd, bytes.data(), bytes.size()) !=
-      static_cast<ssize_t>(bytes.size())) {
-    throw_io("write", f.path);
-  }
-  disk_->index[key] = DiskTier::Loc{static_cast<std::uint32_t>(k),
-                                    f.size + kFrameSize,
+  const std::uint64_t off = disk_->files[k].append(payload);
+  disk_->index[key] = DiskTier::Loc{static_cast<std::uint32_t>(k), off,
                                     static_cast<std::uint64_t>(payload.size())};
-  f.size += bytes.size();
-  disk_bytes_written_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  disk_bytes_written_.fetch_add(ser::kFrameSize + payload.size(),
+                                std::memory_order_relaxed);
 }
 
 std::optional<Flowpipe> FlowpipeCache::lookup(const Key& key) {
@@ -624,21 +528,7 @@ CacheCompactionStats compact_cache_dir(const std::string& dir) {
     // Read the whole log; files another tool owns (foreign magic) are left
     // untouched, stale versions of OUR magic are deleted (no reader for
     // them exists anymore), valid files are rewritten to live records.
-    std::vector<std::uint8_t> data;
-    {
-      std::FILE* in = std::fopen(path.c_str(), "rb");
-      if (in == nullptr) throw_io("open", path);
-      std::fseek(in, 0, SEEK_END);
-      const long sz = std::ftell(in);
-      std::fseek(in, 0, SEEK_SET);
-      data.resize(sz > 0 ? static_cast<std::size_t>(sz) : 0);
-      if (!data.empty() && std::fread(data.data(), 1, data.size(), in) !=
-                               data.size()) {
-        std::fclose(in);
-        throw_io("read", path);
-      }
-      std::fclose(in);
-    }
+    const ser::Bytes data = ser::read_file(path);
     stats.bytes_before += data.size();
     if (data.size() < kHeaderSize) continue;
     ser::Reader hr(data.data(), kHeaderSize);
@@ -650,37 +540,27 @@ CacheCompactionStats compact_cache_dir(const std::string& dir) {
     }
 
     std::vector<ScannedRecord> recs;
-    scan_records(data.data(), data.size(), recs);
+    ser::scan_records(data.data(), data.size(), kHeaderSize,
+                      collect_records(recs));
     // Live set = last record per key; output preserves first-seen key
     // order, so compacting twice is a fixpoint.
     std::unordered_map<FlowpipeCache::Key, std::size_t, FlowpipeCache::KeyHash>
         last;
     for (std::size_t i = 0; i < recs.size(); ++i) last[recs[i].key] = i;
 
-    const std::string tmp = path + ".tmp";
-    std::FILE* out = std::fopen(tmp.c_str(), "wb");
-    if (out == nullptr) throw_io("open", tmp);
-    bool ok = std::fwrite(data.data(), 1, kHeaderSize, out) == kHeaderSize;
-    std::uint64_t out_bytes = kHeaderSize;
-    for (std::size_t i = 0; ok && i < recs.size(); ++i) {
+    ser::Bytes out(data.begin(), data.begin() + kHeaderSize);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
       if (last[recs[i].key] != i) {
         ++stats.records_dropped;
         continue;
       }
-      const std::size_t n =
-          kFrameSize + static_cast<std::size_t>(recs[i].payload_len);
-      ok = std::fwrite(data.data() + recs[i].frame_off, 1, n, out) == n;
-      out_bytes += n;
+      const auto* frame = data.data() + recs[i].frame_off;
+      out.insert(out.end(), frame,
+                 frame + ser::kFrameSize + recs[i].payload_len);
       ++stats.records_kept;
     }
-    if (std::fclose(out) != 0) ok = false;
-    if (!ok) {
-      std::filesystem::remove(tmp, ec);
-      throw_io("write", tmp);
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) throw_io("rename", tmp);
-    stats.bytes_after += out_bytes;
+    ser::write_file(path, out);
+    stats.bytes_after += out.size();
     ++stats.files;
   }
   return stats;

@@ -13,8 +13,8 @@
 // remaining bytes, term keys against the sorted-ascending invariant, and
 // interval bounds against lo <= hi, and returns false on any violation —
 // the cache treats a failed get() as a miss, not an error. Integrity of
-// whole records is the caller's job via checksum64 (the on-disk record
-// framing in reach/cache.cpp pairs every payload with one).
+// whole records is checked with checksum64 by the one on-disk record
+// frame that every dwv file uses (reach/append_log.hpp).
 #pragma once
 
 #include <cstdint>

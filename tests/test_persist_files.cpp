@@ -6,9 +6,20 @@
 //     matches the length and checksum recorded in golden_search.txt.
 //  2. Fixtures: files written by an earlier build (tests/fixtures/) still
 //     open and load to the same records and result.
+//  3. Corruption drills over the shared record log: every truncation and
+//     every single-byte flip opens to exactly the intact record prefix.
+//  4. Failed writes (a child process under a small RLIMIT_FSIZE) leave
+//     every earlier record and result file readable.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -20,6 +31,7 @@
 #include "golden_search.hpp"
 #include "nn/controller.hpp"
 #include "ode/benchmarks.hpp"
+#include "reach/append_log.hpp"
 #include "reach/cache.hpp"
 #include "reach/linear_reach.hpp"
 #include "reach/serialize.hpp"
@@ -282,6 +294,268 @@ TEST(PersistFiles, ResultFileFixturesLoad) {
   core::put(c, res);
   core::put(d, s.uninterrupted());
   EXPECT_EQ(c.bytes(), d.bytes());
+}
+
+// --- Corruption drills over the shared record log -----------------------
+
+const ser::Bytes kDrillHeader = {'D', 'R', 'I', 'L', 'L', 'L', 'O', 'G'};
+
+struct Opened {
+  std::vector<ser::Bytes> records;
+  std::uint64_t file_size = 0;
+};
+
+// Opens `path` as a drill log (a foreign or short header resets it),
+// optionally appends `extra`, and returns what the open scanned.
+Opened open_drill_log(const fs::path& path, const ser::Bytes* extra = nullptr) {
+  Opened out;
+  {
+    ser::AppendLog log(
+        path.string(), kDrillHeader,
+        [](const std::uint8_t* data, std::size_t size) {
+          return size >= kDrillHeader.size() &&
+                 std::equal(kDrillHeader.begin(), kDrillHeader.end(), data);
+        },
+        [&out](const std::uint8_t* payload, std::size_t len, std::uint64_t) {
+          out.records.emplace_back(payload, payload + len);
+          return true;
+        });
+    out.file_size = fs::file_size(path);
+    if (extra != nullptr) log.append(*extra);
+  }
+  return out;
+}
+
+void write_bytes(const fs::path& path, const ser::Bytes& b) {
+  // A new file rather than a truncated one: some file systems flush a
+  // file truncated to zero and rewritten when it is closed.
+  fs::remove(path);
+  std::ofstream f(path, std::ios::binary);
+  f.write(reinterpret_cast<const char*>(b.data()),
+          static_cast<std::streamsize>(b.size()));
+}
+
+struct DrillLog {
+  explicit DrillLog(const std::string& name) : dir(fresh_dir(name)) {
+    const fs::path path = dir / "full.log";
+    {
+      ser::AppendLog log(
+          path.string(), kDrillHeader,
+          [](const std::uint8_t*, std::size_t) { return false; },
+          [](const std::uint8_t*, std::size_t, std::uint64_t) {
+            return true;
+          });
+      ends.push_back(kDrillHeader.size());
+      for (const ser::Bytes& p : payloads) {
+        const std::uint64_t off = log.append(p);
+        EXPECT_EQ(off, ends.back() + ser::kFrameSize);
+        ends.push_back(off + p.size());
+      }
+    }
+    bytes = file_bytes(path);
+  }
+
+  // Opens `damaged`, which keeps the first `intact` records, and checks
+  // that exactly those load, that the file is cut back to them, and that
+  // a record appended then is read by the next open.
+  void expect_prefix(const ser::Bytes& damaged, std::size_t intact,
+                     const std::string& what) {
+    SCOPED_TRACE(what);
+    const fs::path path = dir / "damaged.log";
+    write_bytes(path, damaged);
+    const ser::Bytes extra = {'n', 'e', 'w'};
+    const Opened first = open_drill_log(path, &extra);
+    ASSERT_EQ(first.records.size(), intact);
+    for (std::size_t i = 0; i < intact; ++i) {
+      EXPECT_EQ(first.records[i], payloads[i]) << "record " << i;
+    }
+    EXPECT_EQ(first.file_size, ends[intact]);
+
+    const Opened second = open_drill_log(path);
+    ASSERT_EQ(second.records.size(), intact + 1);
+    EXPECT_EQ(second.records.back(), extra);
+    EXPECT_EQ(second.file_size, ends[intact] + ser::kFrameSize + extra.size());
+  }
+
+  const std::vector<ser::Bytes> payloads = {
+      {'a', 'b', 'c', 'd', 'e'}, {}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}};
+  fs::path dir;
+  std::vector<std::uint64_t> ends;  ///< record i spans [ends[i], ends[i+1])
+  ser::Bytes bytes;
+};
+
+TEST(AppendLog, EveryTruncationOpensToTheIntactPrefix) {
+  DrillLog d("drill_truncate");
+  ASSERT_EQ(d.bytes.size(), d.ends.back());
+  for (std::size_t len = 0; len <= d.bytes.size(); ++len) {
+    std::size_t intact = 0;
+    while (intact < d.payloads.size() && d.ends[intact + 1] <= len) ++intact;
+    d.expect_prefix(ser::Bytes(d.bytes.begin(), d.bytes.begin() + len),
+                    intact, "length " + std::to_string(len));
+  }
+}
+
+TEST(AppendLog, EverySingleByteFlipOpensToTheIntactPrefix) {
+  DrillLog d("drill_flip");
+  for (std::size_t pos = 0; pos < d.bytes.size(); ++pos) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+      ser::Bytes damaged = d.bytes;
+      damaged[pos] ^= mask;
+      // A flipped header resets the log; a flip inside record i keeps the
+      // records before it.
+      std::size_t intact = 0;
+      while (intact < d.payloads.size() && d.ends[intact + 1] <= pos) {
+        ++intact;
+      }
+      d.expect_prefix(damaged, intact,
+                      "byte " + std::to_string(pos) + " mask " +
+                          std::to_string(mask));
+    }
+  }
+}
+
+TEST(AppendLog, FramedFileRejectsEveryTruncationAndFlip) {
+  const fs::path dir = fresh_dir("framed");
+  const fs::path path = dir / "one.rec";
+  const ser::Bytes payload = {'r', 'e', 's', 'u', 'l', 't'};
+  ser::write_framed_file(path.string(), 0x1122334455667788ull, 3, payload);
+  EXPECT_EQ(ser::read_framed_file(path.string(), 0x1122334455667788ull, 3),
+            payload);
+  const ser::Bytes good = file_bytes(path);
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    write_bytes(path, ser::Bytes(good.begin(), good.begin() + len));
+    EXPECT_THROW(ser::read_framed_file(path.string(), 0x1122334455667788ull, 3),
+                 std::runtime_error)
+        << "length " << len;
+  }
+  for (std::size_t pos = 0; pos < good.size(); ++pos) {
+    if (pos >= 12 && pos < 16) continue;  // the reserved word is not read
+    ser::Bytes damaged = good;
+    damaged[pos] ^= 0x40;
+    write_bytes(path, damaged);
+    EXPECT_THROW(ser::read_framed_file(path.string(), 0x1122334455667788ull, 3),
+                 std::runtime_error)
+        << "byte " << pos;
+  }
+  // Trailing bytes after the one record are corruption too.
+  ser::Bytes longer = good;
+  longer.push_back(0);
+  write_bytes(path, longer);
+  EXPECT_THROW(ser::read_framed_file(path.string(), 0x1122334455667788ull, 3),
+               std::runtime_error);
+}
+
+// --- Failed writes ------------------------------------------------------
+
+// Runs `body` in a forked child that ignores SIGXFSZ, so writes past
+// RLIMIT_FSIZE fail with EFBIG (or come back short) instead of killing
+// it. Returns the child's exit code.
+int run_in_child(const std::function<int()>& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);
+    int code = 2;
+    try {
+      code = body();
+    } catch (...) {
+      code = 3;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+void set_file_size_limit(rlim_t soft) {
+  rlimit lim{};
+  ::getrlimit(RLIMIT_FSIZE, &lim);
+  lim.rlim_cur = soft;
+  ::setrlimit(RLIMIT_FSIZE, &lim);
+}
+
+// A pipe too big to fit under the limit set below.
+reach::Flowpipe big_pipe() {
+  reach::Flowpipe fp = fixed_pipe(5);
+  for (int k = 0; k < 40; ++k) fp.step_sets.push_back(fp.step_sets[0]);
+  return fp;
+}
+
+// An append that fails mid-record is cut back, so the records appended
+// after it in the same run land at a record boundary and are read back.
+TEST(PersistFiles, FailedCacheAppendKeepsLaterRecordsReachable) {
+  const fs::path dir = fresh_dir("fsize_cache");
+  const int code = run_in_child([&dir] {
+    reach::FlowpipeCache cache(cache_config(dir));
+    cache.insert(fixed_key(0), fixed_pipe(0));
+    rlimit old{};
+    ::getrlimit(RLIMIT_FSIZE, &old);
+    set_file_size_limit(fs::file_size(dir / kLogName) + 40);
+    bool threw = false;
+    try {
+      cache.insert(fixed_key(1), big_pipe());
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+    set_file_size_limit(old.rlim_cur);
+    cache.insert(fixed_key(2), fixed_pipe(2));
+    return threw ? 0 : 1;
+  });
+  ASSERT_EQ(code, 0);
+
+  reach::FlowpipeCache warm(cache_config(dir));
+  EXPECT_EQ(warm.stats().disk_entries, 2u);
+  for (const std::uint64_t i : {0, 2}) {
+    const auto hit = warm.lookup(fixed_key(i));
+    ASSERT_TRUE(hit.has_value()) << "key " << i;
+    EXPECT_EQ(pipe_bytes(*hit), pipe_bytes(fixed_pipe(i)));
+  }
+  EXPECT_FALSE(warm.lookup(fixed_key(1)).has_value());
+}
+
+// A result file that cannot be written in full leaves the previous file
+// in place, byte for byte.
+TEST(PersistFiles, FailedResultSaveKeepsThePreviousFile) {
+  const AccSearch s;
+  const fs::path dir = fresh_dir("fsize_result");
+  const std::string shard = (dir / "shard0.xis").string();
+  const std::string result = (dir / "search.xir").string();
+  core::ShardResult small = shard0(s);
+  small.records.resize(2);
+  core::save_shard_result_file(shard, small);
+  core::InitialSetResult partial;
+  partial.coverage = 0.5;
+  core::save_initial_set_result_file(result, 7, partial);
+  const ser::Bytes shard_before = file_bytes(shard);
+  const ser::Bytes result_before = file_bytes(result);
+
+  const core::ShardResult full = shard0(s);
+  const core::InitialSetResult done = s.uninterrupted();
+  const int code = run_in_child([&] {
+    set_file_size_limit(64);
+    int failures = 0;
+    try {
+      core::save_shard_result_file(shard, full);
+    } catch (const std::runtime_error&) {
+      ++failures;
+    }
+    try {
+      core::save_initial_set_result_file(result, fingerprint(s), done);
+    } catch (const std::runtime_error&) {
+      ++failures;
+    }
+    return failures == 2 ? 0 : 1;
+  });
+  ASSERT_EQ(code, 0);
+
+  EXPECT_EQ(file_bytes(shard), shard_before);
+  EXPECT_EQ(file_bytes(result), result_before);
+  EXPECT_EQ(core::load_shard_result_file(shard).records.size(), 2u);
+  std::uint64_t fp = 0;
+  EXPECT_EQ(core::load_initial_set_result_file(result, &fp).coverage, 0.5);
+  EXPECT_EQ(fp, 7u);
+  EXPECT_FALSE(fs::exists(shard + ".tmp"));
+  EXPECT_FALSE(fs::exists(result + ".tmp"));
 }
 
 }  // namespace
