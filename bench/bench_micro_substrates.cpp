@@ -11,7 +11,6 @@
 #include "reach/linear_reach.hpp"
 #include "reach/tm_flowpipe.hpp"
 #include "transport/emd.hpp"
-#include "transport/sinkhorn.hpp"
 
 namespace {
 
@@ -78,18 +77,6 @@ void BM_EmdExactMetricShape(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EmdExactMetricShape);
-
-void BM_Sinkhorn(benchmark::State& state) {
-  const std::size_t grid = static_cast<std::size_t>(state.range(0));
-  const geom::Box a{interval::Interval(0.0, 1.0), interval::Interval(0.0, 1.0)};
-  const geom::Box b{interval::Interval(2.0, 3.0), interval::Interval(1.0, 2.0)};
-  const auto ma = transport::uniform_on_box(a, {grid, grid});
-  const auto mb = transport::uniform_on_box(b, {grid, grid});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(transport::sinkhorn(ma, mb).cost);
-  }
-}
-BENCHMARK(BM_Sinkhorn)->Arg(4)->Arg(8);
 
 void BM_LinearFlowpipeAcc(benchmark::State& state) {
   const auto bench = ode::make_acc_benchmark();

@@ -287,8 +287,6 @@ MetricGrad goal_containment_margin_grad(const GradFlowpipe& gfp,
 WassersteinMetricsGrad wasserstein_metrics_grad(const GradFlowpipe& gfp,
                                                 const ReachAvoidSpec& spec,
                                                 const WassersteinOptions& opt) {
-  assert(!opt.use_sinkhorn &&
-         "Danskin gradients need the exact transport plan");
   const std::size_t nd = gfp.dirs;
   const Box& last = gfp.fp.step_sets.back();
   const DualBox& last_d = gfp.step_sets_d.back();

@@ -54,8 +54,7 @@ MetricGrad goal_containment_margin_grad(const reach::GradFlowpipe& gfp,
                                         const ode::ReachAvoidSpec& spec);
 
 /// Dual wasserstein_metrics: values == wasserstein_metrics(gfp.fp, spec,
-/// opt). Precondition: !opt.use_sinkhorn (the learner falls back to SPSA
-/// for Sinkhorn; Danskin needs the exact plan).
+/// opt).
 WassersteinMetricsGrad wasserstein_metrics_grad(
     const reach::GradFlowpipe& gfp, const ode::ReachAvoidSpec& spec,
     const WassersteinOptions& opt = {});

@@ -443,10 +443,6 @@ LearnResult Learner::learn(nn::Controller& ctrl) const {
         tv == nullptr
             ? "verifier is not a Taylor-model verifier"
             : reach::TmGradient::unsupported_reason(*tv, ctrl);
-    if (why == nullptr && opt_.metric == MetricKind::kWasserstein &&
-        opt_.wopt.use_sinkhorn) {
-      why = "Sinkhorn Wasserstein provides no exact transport plan";
-    }
     if (why == nullptr) return learn_grad(ctrl, *tv);
     std::fprintf(stderr,
                  "dwv: analytic gradient unavailable (%s); "

@@ -186,10 +186,8 @@ WassersteinMetrics wasserstein_metrics(const Flowpipe& fp,
     // Per-thread solver workspace, reused across learner iterations (and
     // across the goal/unsafe pair of every metric evaluation): same
     // arithmetic, so the distances are bit-identical — only the per-call
-    // cost-matrix/scaling-vector allocations are gone.
+    // cost-matrix and Dijkstra-state allocations are gone.
     thread_local transport::TransportWorkspace ws;
-    if (opt.use_sinkhorn)
-      return transport::sinkhorn(ra, sa, opt.sinkhorn, ws).cost;
     return transport::w1_exact(ra, sa, ws);
   };
 

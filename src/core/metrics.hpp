@@ -7,7 +7,6 @@
 #include "ode/spec.hpp"
 #include "reach/flowpipe.hpp"
 #include "transport/emd.hpp"
-#include "transport/sinkhorn.hpp"
 
 namespace dwv::core {
 
@@ -45,9 +44,6 @@ double goal_containment_margin(const reach::Flowpipe& fp,
 struct WassersteinOptions {
   /// Grid resolution per dimension for the uniform discretizations.
   std::size_t grid = 5;
-  /// Use the Sinkhorn approximation instead of exact EMD.
-  bool use_sinkhorn = false;
-  transport::SinkhornOptions sinkhorn;
 };
 
 struct WassersteinMetrics {

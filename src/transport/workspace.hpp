@@ -1,8 +1,7 @@
 // Caller-owned scratch buffers for the discrete-transport solvers. The
 // Wasserstein feedback metric calls the solvers on every learner iteration
-// with supports of a fixed grid size; allocating the cost matrix, the
-// Dijkstra state and the Sinkhorn scaling vectors per call dominates the
-// small-support hot path. A workspace keeps those buffers alive across
+// with supports of a fixed grid size; allocating the cost matrix and the
+// Dijkstra state per call dominates the small-support hot path. A workspace keeps those buffers alive across
 // calls (each call overwrites them, so one workspace serves any sequence
 // of sequential calls; use one workspace per thread for concurrent calls).
 //
@@ -17,7 +16,7 @@
 namespace dwv::transport {
 
 struct TransportWorkspace {
-  /// n*m row-major Euclidean cost matrix (both solvers).
+  /// n*m row-major Euclidean cost matrix.
   std::vector<double> cost;
 
   // Successive-shortest-path EMD state.
@@ -28,13 +27,6 @@ struct TransportWorkspace {
   std::vector<double> dist;
   std::vector<int> prev;
   std::vector<char> done;    ///< settled flags of the dense Dijkstra scan
-
-  // Sinkhorn log-domain state.
-  std::vector<double> loga;
-  std::vector<double> logb;
-  std::vector<double> f;
-  std::vector<double> g;
-  std::vector<double> buf;
 };
 
 }  // namespace dwv::transport

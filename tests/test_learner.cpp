@@ -162,28 +162,6 @@ TEST(Learner, SuccessImpliesFormallyPositiveMetrics) {
   EXPECT_TRUE(res.final_flowpipe.valid);
 }
 
-TEST(Learner, SinkhornModeAlsoConverges) {
-  // The entropic OT fast path can replace the exact EMD inside the loop.
-  const auto bench = ode::make_acc_benchmark();
-  LearnerOptions opt;
-  opt.metric = MetricKind::kWasserstein;
-  opt.alpha = 0.2;
-  opt.max_iters = 400;
-  opt.step_size = 0.5;
-  opt.perturbation = 0.05;
-  opt.gradient = GradientMode::kSpsaAveraged;
-  opt.spsa_samples = 2;
-  opt.require_containment = true;
-  opt.restarts = 3;
-  opt.seed = 3;
-  opt.wopt.use_sinkhorn = true;
-  opt.wopt.sinkhorn.epsilon = 0.05;
-  Learner learner(acc_verifier(bench), bench.spec, opt);
-  nn::LinearController ctrl(Mat{{0.0, 0.0}});
-  const LearnResult res = learner.learn(ctrl);
-  EXPECT_TRUE(res.success);
-}
-
 TEST(Learner, SpsaAveragedWithZeroSamplesIsClamped) {
   // Regression: spsa_samples = 0 divided the averaged gradient by zero,
   // turning theta into NaNs from the first update onward. Validation

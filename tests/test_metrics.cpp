@@ -113,25 +113,6 @@ TEST(WassersteinMetrics, TranslationDistanceOnFinalSegment) {
   EXPECT_GT(m.w_unsafe, 0.0);
 }
 
-TEST(WassersteinMetrics, SinkhornCloseToExact) {
-  auto spec = spec2d();
-  const auto fp = pipe_from_boxes({
-      Box{Interval(0.0, 1.0), Interval(0.0, 1.0)},
-      Box{Interval(5.0, 6.0), Interval(1.0, 2.0)},
-  });
-  WassersteinOptions exact;
-  exact.grid = 4;
-  WassersteinOptions approx;
-  approx.grid = 4;
-  approx.use_sinkhorn = true;
-  approx.sinkhorn.epsilon = 0.02;
-  approx.sinkhorn.max_iters = 3000;
-  const auto me = wasserstein_metrics(fp, spec, exact);
-  const auto ma = wasserstein_metrics(fp, spec, approx);
-  EXPECT_NEAR(ma.w_goal, me.w_goal, 0.05 * me.w_goal + 0.02);
-  EXPECT_NEAR(ma.w_unsafe, me.w_unsafe, 0.05 * me.w_unsafe + 0.02);
-}
-
 TEST(WassersteinMetrics, ObjectiveOrientation) {
   auto spec = spec2d();
   // A segment near the goal must have a smaller objective than one far.

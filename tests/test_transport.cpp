@@ -16,7 +16,6 @@
 #include "reach/tm_flowpipe.hpp"
 #include "transport/emd.hpp"
 #include "transport/measure.hpp"
-#include "transport/sinkhorn.hpp"
 
 namespace dwv::transport {
 namespace {
@@ -173,36 +172,6 @@ TEST(Emd, TriangleInequalityOnRandomMeasures) {
     // Symmetry.
     EXPECT_NEAR(ab, w1_exact(b, a), 1e-9);
   }
-}
-
-TEST(Sinkhorn, ApproachesExactAsEpsilonShrinks) {
-  const geom::Box a{Interval(0.0, 1.0), Interval(0.0, 1.0)};
-  const geom::Box b{Interval(2.0, 3.0), Interval(1.0, 2.0)};
-  const auto ma = uniform_on_box(a, {4, 4});
-  const auto mb = uniform_on_box(b, {4, 4});
-  const double exact = w1_exact(ma, mb);
-  double prev_err = 1e9;
-  for (double eps : {0.3, 0.1, 0.03}) {
-    SinkhornOptions opt;
-    opt.epsilon = eps;
-    opt.max_iters = 2000;
-    const auto r = sinkhorn(ma, mb, opt);
-    const double err = std::abs(r.cost - exact);
-    EXPECT_LT(err, prev_err + 1e-9);
-    prev_err = err;
-  }
-  EXPECT_LT(prev_err, 0.02 * exact + 1e-3);
-}
-
-TEST(Sinkhorn, ConvergesAndReportsIterations) {
-  const geom::Box a{Interval(0.0, 1.0)};
-  const auto ma = uniform_on_box(a, {5});
-  const geom::Box b{Interval(3.0, 4.0)};
-  const auto mb = uniform_on_box(b, {5});
-  const auto r = sinkhorn(ma, mb, {.epsilon = 0.05, .max_iters = 1000});
-  EXPECT_TRUE(r.converged);
-  EXPECT_GT(r.iters, 0u);
-  EXPECT_NEAR(r.cost, 3.0, 0.05);
 }
 
 TEST(Emd, OneDimensionalClosedForm) {
