@@ -24,7 +24,9 @@
 #include "core/initial_set.hpp"
 #include "golden_search.hpp"
 #include "nn/controller.hpp"
+#include "nn/poly_controller.hpp"
 #include "ode/benchmarks.hpp"
+#include "ode/expr_system.hpp"
 #include "reach/control_abstraction.hpp"
 #include "reach/grad_flowpipe.hpp"
 #include "reach/serialize.hpp"
@@ -177,6 +179,23 @@ void put_dual(ser::Writer& w,
   }
 }
 
+// The dual pass's value pipe followed by its direction count and every
+// tangent of step_sets_d and interval_hulls_d, checked against `name`.
+reach::GradFlowpipe expect_grad_golden(const std::string& name,
+                                       const TmVerifier& v,
+                                       const geom::Box& x0,
+                                       const nn::Controller& ctrl) {
+  EXPECT_EQ(reach::TmGradient::unsupported_reason(v, ctrl), nullptr);
+  reach::GradFlowpipe g = reach::TmGradient(v).compute(x0, ctrl);
+  ser::Writer w;
+  ser::put(w, g.fp);
+  w.u64(g.dirs);
+  put_dual(w, g.step_sets_d);
+  put_dual(w, g.interval_hulls_d);
+  expect_golden(name, w.bytes());
+  return g;
+}
+
 TEST(GoldenFlowpipe, AccGradient) {
   const ode::Benchmark bench = ode::make_acc_benchmark();
   const nn::LinearController ctrl(Mat{{0.6, -2.2}});
@@ -186,15 +205,117 @@ TEST(GoldenFlowpipe, AccGradient) {
     const TmVerifier v(bench.system, bench.spec,
                        std::make_shared<reach::LinearAbstraction>(),
                        options(m));
-    ASSERT_EQ(reach::TmGradient::unsupported_reason(v, ctrl), nullptr);
-    const reach::GradFlowpipe g = reach::TmGradient(v).compute(
-        bench.spec.x0, ctrl);
-    ser::Writer w;
-    ser::put(w, g.fp);
-    w.u64(g.dirs);
-    put_dual(w, g.step_sets_d);
-    put_dual(w, g.interval_hulls_d);
-    expect_golden(std::string("grad_acc_linctrl_") + m.name, w.bytes());
+    expect_grad_golden(std::string("grad_acc_linctrl_") + m.name, v,
+                       bench.spec.x0, ctrl);
+  }
+}
+
+// The vdp-poly scenario of tools/grad_check: a degree-2 polynomial
+// controller whose coefficients carry the tangents through the
+// polynomial abstraction. Three of its six coefficients sit at zero, so
+// their monomials exist only in the tangent channels.
+TEST(GoldenFlowpipe, VdpPolyGradient) {
+  ode::Benchmark bench = ode::make_oscillator_benchmark();
+  bench.spec.steps = 10;
+  bench.spec.stop_at_goal = false;
+  nn::PolynomialController ctrl(2, 1, 2);
+  ctrl.set_params(linalg::Vec{0.0, -0.4, 0.3, 0.0, 0.1, 0.0});
+  for (const Mode& m : kModes) {
+    if (m.symbolic) continue;
+    SCOPED_TRACE(m.name);
+    const TmVerifier v(bench.system, bench.spec,
+                       std::make_shared<reach::PolynomialAbstraction>(),
+                       options(m));
+    const reach::GradFlowpipe g = expect_grad_golden(
+        std::string("grad_vdp_poly_") + m.name, v, bench.spec.x0, ctrl);
+    EXPECT_TRUE(g.fp.valid) << g.fp.failure;
+  }
+  // The polynomial channel is dense, so the controller keeps this run on
+  // the fixed grid's schedule. A one-inflation budget makes validation
+  // fail at the base step: rejected substeps are retried at smaller ones.
+  TmReachOptions tight;
+  tight.adaptive = true;
+  tight.max_inflations = 1;
+  const TmVerifier v(bench.system, bench.spec,
+                     std::make_shared<reach::PolynomialAbstraction>(), tight);
+  const reach::GradFlowpipe g = expect_grad_golden(
+      "grad_vdp_poly_adaptive_rejects", v, bench.spec.x0, ctrl);
+  EXPECT_TRUE(g.fp.valid) << g.fp.failure;
+  EXPECT_GT(g.fp.tm_stats.rejects, 0u);
+}
+
+// One zero parameter each: a linear gain entry (the tangent-only branch of
+// the dual affine map) and a polynomial coefficient (the tangent-only keys
+// of the dual polynomial composition).
+TEST(GoldenFlowpipe, ZeroParameterGradients) {
+  {
+    const ode::Benchmark bench = ode::make_acc_benchmark();
+    const nn::LinearController ctrl(Mat{{0.0, -2.2}});
+    const TmVerifier v(bench.system, bench.spec,
+                       std::make_shared<reach::LinearAbstraction>(),
+                       TmReachOptions{});
+    expect_grad_golden("grad_acc_linctrl_zero_gain", v, bench.spec.x0, ctrl);
+  }
+  {
+    ode::Benchmark bench = ode::make_oscillator_benchmark();
+    bench.spec.steps = 10;
+    bench.spec.stop_at_goal = false;
+    nn::PolynomialController ctrl(2, 1, 2);
+    ctrl.set_params(linalg::Vec{0.02, -0.4, 0.3, 0.0, 0.1, -0.05});
+    const TmVerifier v(bench.system, bench.spec,
+                       std::make_shared<reach::PolynomialAbstraction>(),
+                       TmReachOptions{});
+    const reach::GradFlowpipe g = expect_grad_golden(
+        "grad_vdp_poly_zero_coeff", v, bench.spec.x0, ctrl);
+    EXPECT_TRUE(g.fp.valid) << g.fp.failure;
+  }
+}
+
+// A low re-initialization threshold: the dual pass re-parameterizes the
+// state (value and tangents) at least once.
+TEST(GoldenFlowpipe, ReinitGradient) {
+  const ode::Benchmark bench = ode::make_acc_benchmark();
+  const nn::LinearController ctrl(Mat{{0.6, -2.2}});
+  TmReachOptions opt;
+  opt.reinit_rem_fraction = 0.01;
+  const TmVerifier v(bench.system, bench.spec,
+                     std::make_shared<reach::LinearAbstraction>(), opt);
+  const reach::GradFlowpipe g =
+      expect_grad_golden("grad_acc_linctrl_reinit", v, bench.spec.x0, ctrl);
+  EXPECT_GT(g.fp.tm_stats.reinits, 0u);
+}
+
+// The destabilized oscillator with a tight inflation budget: the dual
+// pass's remainder validation fails and ends the pipe.
+TEST(GoldenFlowpipe, ValidationFailureGradient) {
+  const ode::Benchmark bench = ode::make_oscillator_benchmark();
+  const nn::LinearController ctrl(Mat{{5.0, 5.0}});
+  TmReachOptions opt;
+  opt.max_inflations = 2;
+  const TmVerifier v(bench.system, bench.spec,
+                     std::make_shared<reach::LinearAbstraction>(), opt);
+  const reach::GradFlowpipe g =
+      expect_grad_golden("grad_osc_destab_fixed", v, bench.spec.x0, ctrl);
+  EXPECT_FALSE(g.fp.valid);
+  EXPECT_NE(g.fp.failure.find("remainder validation failed"),
+            std::string::npos)
+      << g.fp.failure;
+}
+
+// Expression dynamics (the pendulum's sin term): ExprTmDynamics is not
+// replay-safe, so every Picard pass of both drivers keeps the full
+// remainder channel.
+TEST(GoldenFlowpipe, PendulumExprDynamics) {
+  const ode::Benchmark bench = ode::make_pendulum_benchmark();
+  const nn::LinearController ctrl(Mat{{-3.0, -1.5}});
+  for (const Mode& m : kModes) {
+    if (m.symbolic) continue;
+    SCOPED_TRACE(m.name);
+    const TmVerifier v(bench.system, bench.spec,
+                       std::make_shared<reach::LinearAbstraction>(),
+                       options(m));
+    expect_driver_golden(std::string("fp_pendulum_linctrl_") + m.name, v,
+                         bench.spec.x0, ctrl);
   }
 }
 
