@@ -1,6 +1,7 @@
 #include "reach/append_log.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -105,7 +106,6 @@ AppendLog::AppendLog(std::string path, const Bytes& header,
         throw_io("truncate", path_);
       }
     }
-    size_ = valid_end;
     map_valid_ = std::min<std::size_t>(map_size_,
                                        static_cast<std::size_t>(valid_end));
   } catch (...) {
@@ -121,8 +121,7 @@ AppendLog::AppendLog(AppendLog&& o) noexcept
       fd_(std::exchange(o.fd_, -1)),
       map_(std::exchange(o.map_, nullptr)),
       map_size_(std::exchange(o.map_size_, 0)),
-      map_valid_(std::exchange(o.map_valid_, 0)),
-      size_(o.size_) {}
+      map_valid_(std::exchange(o.map_valid_, 0)) {}
 
 void AppendLog::unmap() {
   if (map_ != nullptr) ::munmap(map_, map_size_);
@@ -141,21 +140,33 @@ std::uint64_t AppendLog::append(const Bytes& payload) {
   Bytes rec;
   rec.reserve(kFrameSize + payload.size());
   put_record(rec, payload);
+  // Another opener of the same file may have appended since this one
+  // opened it. The exclusive lock serializes appenders across openers,
+  // and the size read under it is where this record lands.
+  while (::flock(fd_, LOCK_EX) != 0) {
+    if (errno != EINTR) throw_io("lock", path_);
+  }
+  struct ::stat st{};
+  if (::fstat(fd_, &st) != 0) {
+    const int err = errno;
+    ::flock(fd_, LOCK_UN);
+    throw_io("stat", path_, err);
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
   // One O_APPEND write per record (continued only after a partial
-  // write): concurrent appenders land whole, and a crash can only tear the
-  // LAST record, which the next open's scan drops.
+  // write): a crash can only tear the LAST record, which the next open's
+  // scan drops.
   if (!write_all(fd_, rec.data(), rec.size())) {
     const int err = errno;
     // Cut a partial frame away now: records appended after it would be
     // unreachable behind it.
-    if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
-      throw_io("truncate", path_);
-    }
+    const bool cut = ::ftruncate(fd_, static_cast<off_t>(size)) == 0;
+    ::flock(fd_, LOCK_UN);
+    if (!cut) throw_io("truncate", path_);
     throw_io("write", path_, err);
   }
-  const std::uint64_t payload_off = size_ + kFrameSize;
-  size_ += rec.size();
-  return payload_off;
+  ::flock(fd_, LOCK_UN);
+  return size + kFrameSize;
 }
 
 const std::uint8_t* AppendLog::read(std::uint64_t off, std::uint64_t len,

@@ -58,10 +58,12 @@ class AppendLog {
   AppendLog(AppendLog&& o) noexcept;
   AppendLog& operator=(AppendLog&&) = delete;
 
-  /// Appends one framed record in one write (continued after a partial
-  /// one) and returns the file offset of its payload. On failure the file
-  /// is cut back to the last record boundary before this throws, so later
-  /// appends stay reachable. Not thread-safe.
+  /// Appends one framed record at the end of the file in one write
+  /// (continued after a partial one) and returns the file offset of its
+  /// payload. An exclusive flock is held from reading the file size to the
+  /// end of the write, so other openers of the same file append around
+  /// it. On failure the file is cut back to that size before this throws,
+  /// so later appends stay reachable. Not thread-safe.
   std::uint64_t append(const Bytes& payload);
 
   /// The `len` payload bytes at `off`: a view into the open-time map, or
@@ -81,7 +83,6 @@ class AppendLog {
   std::uint8_t* map_ = nullptr;
   std::size_t map_size_ = 0;   ///< bytes mapped at open
   std::size_t map_valid_ = 0;  ///< intact prefix of the map
-  std::uint64_t size_ = 0;     ///< file size, always a record boundary
 };
 
 /// The whole content of `path`. Throws std::runtime_error when the file

@@ -570,6 +570,34 @@ TEST(PersistCache, ConcurrentInsertLookupIsSafe) {
   }
 }
 
+// Two caches opened on one directory and salt share one shard log. Each
+// append must land at the log's current end and report that offset, so
+// the second opener reads back its own record, not one of the first's,
+// and a fresh opener finds every record of both.
+TEST(PersistCache, TwoOpenersOfOneLogKeepEveryRecord) {
+  const fs::path dir = cache_dir("two_openers");
+  reach::FlowpipeCache first(disk_config(dir));
+  reach::FlowpipeCache second(disk_config(dir));
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    first.insert(test_key(i), test_pipe(i));
+  }
+  second.insert(test_key(10), test_pipe(10));
+  second.clear();  // memory tier only: the lookup below reads the log
+  const auto own = second.lookup(test_key(10));
+  ASSERT_TRUE(own.has_value());
+  EXPECT_EQ(to_bytes(*own), to_bytes(test_pipe(10)));
+  EXPECT_EQ(second.stats().disk_hits, 1u);
+  first.insert(test_key(3), test_pipe(3));
+
+  reach::FlowpipeCache fresh(disk_config(dir));
+  EXPECT_EQ(fresh.stats().disk_entries, 5u);
+  for (const std::uint64_t i : {0u, 1u, 2u, 3u, 10u}) {
+    const auto hit = fresh.lookup(test_key(i));
+    ASSERT_TRUE(hit.has_value()) << i;
+    EXPECT_EQ(to_bytes(*hit), to_bytes(test_pipe(i))) << i;
+  }
+}
+
 // --- End-to-end through CachingVerifier ---------------------------------
 
 std::shared_ptr<const reach::TmVerifier> oscillator_verifier(
