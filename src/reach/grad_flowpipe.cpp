@@ -398,9 +398,6 @@ TmGradient::TmGradient(const TmVerifier& v)
 
 const char* TmGradient::unsupported_reason(const TmVerifier& v,
                                            const nn::Controller& ctrl) {
-  if (v.options().range_mode != poly::RangeMode::kSeedIdentical) {
-    return "range-bounding mode is not kSeedIdentical";
-  }
   if (v.options().symbolic_remainder) {
     return "symbolic remainder queue is enabled";
   }

@@ -15,7 +15,6 @@
 // pipeline to first order at every theta where no branch decision flips.
 //
 // Supported configurations (TmGradient::unsupported_reason):
-//  - kSeedIdentical range mode (the only mode dual_range replicates),
 //  - symbolic remainder queue off,
 //  - polynomial dynamics (PolyTmDynamics),
 //  - LinearAbstraction + LinearController, or PolynomialAbstraction +

@@ -40,7 +40,6 @@ TmVec reinitialize(const TmEnv& env, const TmVec& x, const IVec& end_range) {
   const std::size_t n = x.size();
   const IVec unit(n, Interval(-1.0, 1.0));
   poly::RangeEngine& range = env.scratch().range;
-  const poly::RangeOptions ropt{env.range_mode};
 
   const auto box_reinit = [&]() {
     TmVec fresh(n);
@@ -70,7 +69,7 @@ TmVec reinitialize(const TmEnv& env, const TmVec& x, const IVec& end_range) {
         nonlin.add_term_key(key, coeff);
       }
     }
-    const Interval resid = range.eval_range(nonlin, unit, ropt) + x[i].rem;
+    const Interval resid = range.eval_range(nonlin, unit) + x[i].rem;
     c[i] += resid.mid();
     r[i] = resid.rad();
   }
@@ -160,7 +159,6 @@ void tm_integrate_step(const TmEnv& env_set, const TmVec& state,
   env.dom[nv] = Interval(0.0, h);
   env.order = env_set.order;
   env.cutoff = env_set.cutoff;
-  env.range_mode = env_set.range_mode;
   const std::size_t tau = nv;
 
   s.x0.resize(n);
@@ -473,9 +471,10 @@ void hash_poly(std::vector<std::uint64_t>& w, const Poly& p) {
 
 std::uint64_t TmVerifier::cache_salt() const {
   std::vector<std::uint64_t> w;
-  // Range-bounding mode changes remainders (hence verdicts): results
-  // computed under different modes must never collide in the cache.
-  w.push_back(static_cast<std::uint64_t>(opt_.range_mode));
+  // Once the range-bounding mode word; it stays 0 so the cache keys, disk
+  // salts and persisted files of existing cache directories keep their
+  // bits.
+  w.push_back(0);
   // The symbolic remainder queue changes remainders (sound both ways, but
   // queue-on and queue-off pipes must never alias in a FlowpipeCache).
   w.push_back(opt_.symbolic_remainder ? 1 + opt_.sym_queue_size : 0);
@@ -643,14 +642,12 @@ struct TmVerifier::Lane {
     env.dom = IVec(n, Interval(-1.0, 1.0));
     env.order = v->opt_.order;
     env.cutoff = v->opt_.cutoff;
-    env.range_mode = v->opt_.range_mode;
 
     env_time.dom = IVec(n + 1);
     for (std::size_t i = 0; i < n; ++i) env_time.dom[i] = Interval(-1.0, 1.0);
     env_time.dom[n] = Interval(0.0, h);
     env_time.order = v->opt_.order;
     env_time.cutoff = v->opt_.cutoff;
-    env_time.range_mode = v->opt_.range_mode;
 
     if (stream) {
       // Streaming profile for the batched driver: pin the two domains every
@@ -679,7 +676,6 @@ struct TmVerifier::Lane {
       for (std::size_t i = 0; i <= n; ++i) et.dom[i] = env_time.dom[i];
       et.order = env.order;
       et.cutoff = env.cutoff;
-      et.range_mode = env.range_mode;
       s.range.pin_domain(et.dom, cap);
     }
     primed = true;

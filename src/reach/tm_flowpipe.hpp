@@ -41,12 +41,6 @@ struct TmReachOptions {
   /// the current box (sound; absorbs the remainder into the polynomial so
   /// the closed-loop contraction can act on it). 0 disables.
   double reinit_rem_fraction = 0.5;
-  /// Polynomial range-bounding mode for every interval query of the run.
-  /// kSeedIdentical (default) is bit-identical to the historical
-  /// Poly::eval_range; kCenteredForm intersects it with a mean-value form
-  /// computed from the same cached power tables — sound and at least as
-  /// tight, but results are only containment-comparable (DESIGN.md §10).
-  poly::RangeMode range_mode = poly::RangeMode::kSeedIdentical;
   /// Flow*-style symbolic remainder queue (DESIGN.md §12): keep validated
   /// step remainders OUT of the Taylor-model channel as a queue of
   /// (transport matrix, local remainder) pairs, transported through an

@@ -212,7 +212,6 @@ void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
     se.dom = env.dom;
     se.order = env.order;
     se.cutoff = env.cutoff;
-    se.range_mode = poly::RangeMode::kSeedIdentical;
     s.side_args.resize(args.size());
     for (std::size_t i = 0; i < args.size(); ++i) {
       s.side_args[i].poly = args[i].p.val;

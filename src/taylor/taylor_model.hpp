@@ -31,23 +31,15 @@ struct TmEnv {
   /// Coefficients with magnitude <= cutoff are swept into the remainder to
   /// keep polynomials short. 0 disables sweeping.
   double cutoff = 1e-12;
-  /// Range-bounding mode for every polynomial range query made through
-  /// this env (truncation remainders, tm_mul cross terms, tm_range). The
-  /// default is bit-identical to the seed; kCenteredForm is tighter but
-  /// only containment-comparable (DESIGN.md section 10).
-  poly::RangeMode range_mode = poly::RangeMode::kSeedIdentical;
 
   TmEnv() = default;
   /// Copies settings but NOT the scratch: each copy lazily builds its own
   /// buffers, so envs handed to different worker threads never race.
-  TmEnv(const TmEnv& o)
-      : dom(o.dom), order(o.order), cutoff(o.cutoff),
-        range_mode(o.range_mode) {}
+  TmEnv(const TmEnv& o) : dom(o.dom), order(o.order), cutoff(o.cutoff) {}
   TmEnv& operator=(const TmEnv& o) {
     dom = o.dom;
     order = o.order;
     cutoff = o.cutoff;
-    range_mode = o.range_mode;
     return *this;  // this env keeps its own (possibly borrowed) scratch
   }
 
@@ -62,7 +54,7 @@ struct TmEnv {
   void borrow_scratch(const TmEnv& owner) const;
 
   /// Range of `p` over this env's domain through the scratch's shared
-  /// range engine (amortized interval power tables, mode = range_mode).
+  /// range engine (amortized interval power tables).
   interval::Interval poly_range(const poly::Poly& p) const;
 
  private:
@@ -223,7 +215,7 @@ inline void TmEnv::borrow_scratch(const TmEnv& owner) const {
 }
 
 inline interval::Interval TmEnv::poly_range(const poly::Poly& p) const {
-  return scratch().range.eval_range(p, dom, poly::RangeOptions{range_mode});
+  return scratch().range.eval_range(p, dom);
 }
 
 TaylorModel tm_add(const TaylorModel& a, const TaylorModel& b);
