@@ -187,10 +187,9 @@ inline DualInterval dual_hull(const DualInterval& a, const DualInterval& b) {
   return r;
 }
 
-/// Mirrors the remainder-validation widen() of reach/tm_flowpipe.cpp:
-/// r = rad * factor + bump, m = mid, result [m - r, m + r] (no outward).
-inline DualInterval dual_widen(const DualInterval& x, double factor,
-                               double bump) {
+/// widen() of interval.hpp: r = rad * factor + bump, m = mid, result
+/// [m - r, m + r] (no outward).
+inline DualInterval widen(const DualInterval& x, double factor, double bump) {
   const double r = x.v.rad() * factor + bump;
   const double m = x.v.mid();
   DualInterval out;
@@ -204,6 +203,29 @@ inline DualInterval dual_widen(const DualInterval& x, double factor,
   }
   return out;
 }
+
+// Interval's operators and hull on dual intervals, so the Taylor-model
+// kernels and the Picard step read the same for both remainder types
+// (same association as the scalar expressions they stand in).
+inline DualInterval operator+(const DualInterval& a, const DualInterval& b) {
+  return dual_add(a, b);
+}
+inline DualInterval operator-(const DualInterval& a, const DualInterval& b) {
+  return dual_sub(a, b);
+}
+inline DualInterval operator*(const DualInterval& a, const DualInterval& b) {
+  return dual_mul(a, b);
+}
+inline DualInterval& operator+=(DualInterval& a, const DualInterval& b) {
+  return a = dual_add(a, b);
+}
+inline DualInterval hull(const DualInterval& a, const DualInterval& b) {
+  return dual_hull(a, b);
+}
+
+/// The value channel (the interval itself for a plain Interval).
+inline const Interval& value(const Interval& x) { return x; }
+inline const Interval& value(const DualInterval& x) { return x.v; }
 
 /// Accumulates ONLY the tangents of `m` into `s` (value untouched). Used
 /// where the scalar pipeline skips an operation for an exactly-zero

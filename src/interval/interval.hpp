@@ -154,6 +154,14 @@ IntersectResult intersect(const Interval& a, const Interval& b);
 /// Smallest interval containing both operands.
 Interval hull(const Interval& a, const Interval& b);
 
+/// [m - r, m + r] with m = v.mid() and r = v.rad() * factor + bump (no
+/// outward rounding): the inflation step of the TM remainder validation.
+inline Interval widen(const Interval& v, double factor, double bump) {
+  const double r = v.rad() * factor + bump;
+  const double m = v.mid();
+  return Interval(m - r, m + r);
+}
+
 /// Sound enclosures of elementary functions over intervals. All are
 /// monotone-decomposition based with outward rounding.
 Interval sqr(const Interval& v);

@@ -31,7 +31,7 @@ void tangent_only_keys(const DualPoly& p, std::vector<std::uint64_t>& out) {
             out.end());
 }
 
-void dual_add_into(const DualPoly& a, const DualPoly& b, DualPoly& out) {
+void DualPoly::add_into(const DualPoly& a, const DualPoly& b, DualPoly& out) {
   assert(a.dirs() == b.dirs());
   out.tan.resize(a.dirs());
   Poly::add_into(a.val, b.val, out.val);
@@ -40,7 +40,7 @@ void dual_add_into(const DualPoly& a, const DualPoly& b, DualPoly& out) {
   }
 }
 
-void dual_sub_into(const DualPoly& a, const DualPoly& b, DualPoly& out) {
+void DualPoly::sub_into(const DualPoly& a, const DualPoly& b, DualPoly& out) {
   assert(a.dirs() == b.dirs());
   out.tan.resize(a.dirs());
   Poly::sub_into(a.val, b.val, out.val);
@@ -49,8 +49,8 @@ void dual_sub_into(const DualPoly& a, const DualPoly& b, DualPoly& out) {
   }
 }
 
-void dual_mul_into(const DualPoly& a, const DualPoly& b, DualPoly& out,
-                   DualPolyScratch& s) {
+void DualPoly::mul_into(const DualPoly& a, const DualPoly& b, DualPoly& out,
+                        DualPolyScratch& s) {
   assert(a.dirs() == b.dirs());
   out.tan.resize(a.dirs());
   Poly::mul_into(a.val, b.val, out.val, s.ps);
@@ -58,6 +58,31 @@ void dual_mul_into(const DualPoly& a, const DualPoly& b, DualPoly& out,
     Poly::mul_into(a.tan[k], b.val, s.t1, s.ps);
     Poly::mul_into(a.val, b.tan[k], s.t2, s.ps);
     Poly::add_into(s.t1, s.t2, out.tan[k]);
+  }
+}
+
+void DualPoly::lift_vars_into(std::size_t new_nvars, DualPoly& out) const {
+  val.lift_vars_into(new_nvars, out.val);
+  out.tan.resize(dirs());
+  for (std::size_t k = 0; k < dirs(); ++k) {
+    tan[k].lift_vars_into(new_nvars, out.tan[k]);
+  }
+}
+
+void DualPoly::integrate_var_into(std::size_t var, DualPoly& out) const {
+  val.integrate_var_into(var, out.val);
+  out.tan.resize(dirs());
+  for (std::size_t k = 0; k < dirs(); ++k) {
+    tan[k].integrate_var_into(var, out.tan[k]);
+  }
+}
+
+void DualPoly::subst_last_into(double c, DualPoly& out,
+                               DualPolyScratch& s) const {
+  val.subst_last_into(c, out.val, s.ps);
+  out.tan.resize(dirs());
+  for (std::size_t k = 0; k < dirs(); ++k) {
+    tan[k].subst_last_into(c, out.tan[k], s.ps);
   }
 }
 

@@ -26,6 +26,8 @@
 
 namespace dwv::poly {
 
+struct DualPolyScratch;
+
 struct DualPoly {
   Poly val;
   /// tan[k] = d(val)/d(theta_k); tan.size() == direction count.
@@ -47,7 +49,35 @@ struct DualPoly {
     r.tan.assign(dirs, Poly(v.nvars()));
     return r;
   }
+
+  // Poly's channel kernels, applied per channel (out must not alias).
+  static void add_into(const DualPoly& a, const DualPoly& b, DualPoly& out);
+  static void sub_into(const DualPoly& a, const DualPoly& b, DualPoly& out);
+  /// Value via Poly::mul_into, tangents by the product rule
+  /// tan_k = a.tan_k * b.val + a.val * b.tan_k (same mul kernel).
+  static void mul_into(const DualPoly& a, const DualPoly& b, DualPoly& out,
+                       DualPolyScratch& s);
+  void lift_vars_into(std::size_t new_nvars, DualPoly& out) const;
+  void integrate_var_into(std::size_t var, DualPoly& out) const;
+  void subst_last_into(double c, DualPoly& out, DualPolyScratch& s) const;
 };
+
+/// The value channel (the polynomial itself for a plain Poly).
+inline const Poly& value(const Poly& p) { return p; }
+inline const Poly& value(const DualPoly& p) { return p.val; }
+
+/// Bitwise equality of the whole channel: the terms of a Poly, the value
+/// and every tangent of a DualPoly.
+inline bool same_terms(const Poly& a, const Poly& b) {
+  return a.terms() == b.terms();
+}
+inline bool same_terms(const DualPoly& a, const DualPoly& b) {
+  if (a.val.terms() != b.val.terms() || a.dirs() != b.dirs()) return false;
+  for (std::size_t k = 0; k < a.dirs(); ++k) {
+    if (a.tan[k].terms() != b.tan[k].terms()) return false;
+  }
+  return true;
+}
 
 /// Scratch for the dual poly/TM kernels (the dual analogue of PolyScratch;
 /// see DualTmScratch for ownership rules).
@@ -65,15 +95,6 @@ double coeff_of_key(const Poly& p, std::uint64_t key);
 /// Collects, sorted ascending, every key present in some tangent channel
 /// of `p` but absent from the value channel.
 void tangent_only_keys(const DualPoly& p, std::vector<std::uint64_t>& out);
-
-/// out = a + b per channel (Poly::add_into; out must not alias a or b).
-void dual_add_into(const DualPoly& a, const DualPoly& b, DualPoly& out);
-/// out = a - b per channel.
-void dual_sub_into(const DualPoly& a, const DualPoly& b, DualPoly& out);
-/// out = a * b: value via Poly::mul_into, tangents by the product rule
-/// tan_k = a.tan_k * b.val + a.val * b.tan_k (same mul kernel).
-void dual_mul_into(const DualPoly& a, const DualPoly& b, DualPoly& out,
-                   DualPolyScratch& s);
 
 /// Forward-mode analogue of Poly::eval_range over domain `dom`: the value
 /// channel replicates Poly::eval_range bit for bit (which RangeEngine's

@@ -478,6 +478,51 @@ void Poly::drop_last_var_into(Poly& out) const {
   }
 }
 
+void Poly::integrate_var_into(std::size_t var, Poly& out) const {
+  assert(var < nvars_);
+  assert(&out != this);
+  out.reset(nvars_);
+  const std::uint64_t unit = 1ull << key_shift(nvars_, var);
+  const std::uint32_t cap = key_max_exp(nvars_);
+  // Adding `unit` to every key preserves order and injectivity, so terms
+  // can be appended directly.
+  for (const Term& t : terms_) {
+    const std::uint32_t e = key_exp(t.key, nvars_, var) + 1;
+    if (e > cap) {
+      throw std::overflow_error(
+          "tm_integrate_time: time exponent exceeds the packed-key budget");
+    }
+    const double q = t.coeff / static_cast<double>(e);
+    if (q == 0.0) continue;
+    out.terms_.push_back({t.key + unit, q});
+  }
+}
+
+void Poly::subst_last_into(double c, Poly& out, PolyScratch& s) const {
+  assert(nvars_ >= 1);
+  assert(&out != this);
+  const std::size_t new_nv = nvars_ - 1;
+  out.reset(new_nv);
+  std::vector<Term>& buf = s.prod;
+  buf.clear();
+  const std::uint32_t new_bits = key_bits(new_nv);
+  for (const Term& t : terms_) {
+    // Repeated multiplication, like the general substitution.
+    double scale = 1.0;
+    const std::uint32_t e = key_exp(t.key, nvars_, nvars_ - 1);
+    for (std::uint32_t k = 0; k < e; ++k) scale *= c;
+    // Dropping a field widens the per-field layout, so no exponent can
+    // overflow.
+    std::uint64_t k2 = 0;
+    for (std::size_t i = 0; i < new_nv; ++i) {
+      k2 = (k2 << new_bits) |
+           static_cast<std::uint64_t>(key_exp(t.key, nvars_, i));
+    }
+    buf.push_back({k2, t.coeff * scale});
+  }
+  coalesce_into(buf, out);
+}
+
 double Poly::max_abs_coeff() const {
   double m = 0.0;
   for (const Term& t : terms_) m = std::max(m, std::abs(t.coeff));

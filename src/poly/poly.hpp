@@ -239,6 +239,19 @@ class Poly {
   /// Drops the last variable (must have exponent 0 everywhere).
   void drop_last_var_into(Poly& out) const;
 
+  /// out = the antiderivative in variable `var` with zero constant: every
+  /// term gains one power of x_var and divides by its new exponent; zero
+  /// quotients are skipped like add_term. Throws std::overflow_error when
+  /// an exponent would exceed the packed-key budget. out must not alias.
+  void integrate_var_into(std::size_t var, Poly& out) const;
+  /// out = *this with the last variable fixed at `c`, re-encoded over
+  /// nvars - 1 variables in one term walk. Bit-identical to substituting
+  /// and then drop_last_var_into: clearing the least-significant field
+  /// keeps the term stream sorted, and the re-pack to the wider per-field
+  /// layout is order- and equality-preserving, so the coalesce sees the
+  /// same adjacency. Uses s.prod as the term stream; out must not alias.
+  void subst_last_into(double c, Poly& out, PolyScratch& s) const;
+
   double max_abs_coeff() const;
 
   friend std::ostream& operator<<(std::ostream& os, const Poly& p);

@@ -9,6 +9,7 @@
 #include "linalg/matrix.hpp"
 #include "nn/poly_controller.hpp"
 #include "reach/step_control.hpp"
+#include "reach/tm_step.hpp"
 
 namespace dwv::reach {
 
@@ -21,182 +22,24 @@ using taylor::DualTm;
 using taylor::DualTmEnv;
 using taylor::DualTmVec;
 
-// Every function in this file mirrors its scalar counterpart in
-// tm_flowpipe.cpp operation for operation on the value channel; see the
-// header. The scalar compute() entry runs with the remainder tape OFF and
-// no Picard convergence break (those are streaming-lane-only), so the dual
-// step mirrors the plain full-channel kernel sequence.
-
-void dual_integrate_step(const DualTmEnv& env_set, const DualTmVec& state,
-                         const DualTmVec& control,
-                         const std::vector<DualPoly>& fd, double h,
-                         const TmReachOptions& opt, DualStepScratch& ss,
-                         DualStepResult& res) {
-  const std::size_t n = state.size();
-  const std::size_t m = control.size();
-  const std::size_t nv = env_set.nvars();
-  const std::size_t nd = env_set.dirs;
-  assert(fd.size() == n);
-
-  taylor::DualTmScratch& s = env_set.scratch();
-
-  // Time-extended environment (set vars..., tau in [0, h]), persisted in
-  // the scratch exactly like TmScratch::env_time.
-  DualTmEnv& env = s.env_time;
-  if (!s.env_time_init) {
-    env.borrow_scratch(env_set);
-    s.env_time_init = true;
-  }
-  env.dom.resize(nv + 1);
-  for (std::size_t i = 0; i < nv; ++i) env.dom[i] = env_set.dom[i];
-  env.dom[nv] = Interval(0.0, h);
-  env.order = env_set.order;
-  env.cutoff = env_set.cutoff;
-  env.dirs = nd;
-  const std::size_t tau = nv;
-
-  const auto lift = [&](const DualTm& in, DualTm& out) {
-    in.p.val.lift_vars_into(nv + 1, out.p.val);
-    out.p.tan.resize(nd);
-    for (std::size_t k = 0; k < nd; ++k) {
-      in.p.tan[k].lift_vars_into(nv + 1, out.p.tan[k]);
-    }
-    out.rem = in.rem;
-  };
-  ss.x0.resize(n);
-  for (std::size_t i = 0; i < n; ++i) lift(state[i], ss.x0[i]);
-  ss.u.resize(m);
-  for (std::size_t j = 0; j < m; ++j) lift(control[j], ss.u[j]);
-
-  const auto picard = [&](const DualTmVec& phi, DualTmVec& out) {
-    ss.args.resize(n + m);
-    for (std::size_t i = 0; i < n; ++i) ss.args[i] = phi[i];
-    for (std::size_t j = 0; j < m; ++j) ss.args[n + j] = ss.u[j];
-    ss.g.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      taylor::dual_tm_eval_poly_into(env, fd[i], ss.args, ss.g[i]);
-    }
-    out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      taylor::dual_tm_integrate_time_into(env, ss.g[i], tau, s.integ);
-      Poly::add_into(ss.x0[i].p.val, s.integ.p.val, out[i].p.val);
-      out[i].p.tan.resize(nd);
-      for (std::size_t k = 0; k < nd; ++k) {
-        Poly::add_into(ss.x0[i].p.tan[k], s.integ.p.tan[k], out[i].p.tan[k]);
-      }
-      out[i].rem = interval::dual_add(ss.x0[i].rem, s.integ.rem);
-    }
-  };
-
-  // Polynomial fixpoint by iteration; pass remainders are zeroed between
-  // passes (both channels: perturbed runs zero theirs too). Adaptive runs
-  // mirror the scalar path's pass count and convergence index, but never
-  // break early: the tangent fixpoint can lag the value fixpoint, and the
-  // extra passes are value-channel no-ops (a converged pass maps (phi, 0)
-  // back to phi), so the value bits — and the conv_index signal the step
-  // controller reads — stay identical to the scalar driver's.
-  const std::size_t iters_eff =
-      opt.adaptive
-          ? std::max(opt.picard_iters,
-                     static_cast<std::size_t>(env_set.order) + 1)
-          : opt.picard_iters;
-  std::size_t conv_index = iters_eff;
-  ss.phi.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ss.phi[i] = ss.x0[i];
-  for (std::size_t it = 0; it < iters_eff; ++it) {
-    picard(ss.phi, ss.picard_out);
-    if (opt.adaptive && conv_index == iters_eff) {
-      bool converged = true;
-      for (std::size_t i = 0; i < n && converged; ++i) {
-        converged = ss.picard_out[i].p.val.terms() == ss.phi[i].p.val.terms();
-      }
-      if (converged) conv_index = it;
-    }
-    std::swap(ss.phi, ss.picard_out);
-    for (auto& tm : ss.phi) {
-      tm.rem = DualInterval::constant(Interval(0.0), nd);
-    }
-  }
-  res.conv_index = conv_index;
-
-  // Remainder validation: find J with P(poly + J) inside poly + J. All
-  // containment decisions are taken on the value channel.
-  ss.rem_j.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ss.rem_j[i] = interval::dual_hull(
-        ss.x0[i].rem,
-        DualInterval::constant(Interval::symmetric(opt.rem_init), nd));
-  }
-
-  res.ok = false;
-  res.failure.clear();
-  res.attempts = 0;
-  res.defect_rel = 0.0;
-  res.max_poly_terms = 0;
-  for (std::size_t attempt = 0; attempt <= opt.max_inflations; ++attempt) {
-    ss.cand.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (attempt == 0) ss.cand[i].p = ss.phi[i].p;
-      ss.cand[i].rem = ss.rem_j[i];
-    }
-    picard(ss.cand, ss.pnext);
-
-    bool contained = true;
-    ss.d_range.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      Poly::sub_into(ss.pnext[i].p.val, ss.cand[i].p.val, s.diff.p.val);
-      s.diff.p.tan.resize(nd);
-      for (std::size_t k = 0; k < nd; ++k) {
-        Poly::sub_into(ss.pnext[i].p.tan[k], ss.cand[i].p.tan[k],
-                       s.diff.p.tan[k]);
-      }
-      s.diff.rem = interval::dual_sub(
-          ss.pnext[i].rem, DualInterval::constant(Interval(0.0), nd));
-      ss.d_range[i] = taylor::dual_tm_range(env, s.diff);
-      if (!ss.rem_j[i].v.contains(ss.d_range[i].v)) contained = false;
-    }
-
-    if (contained) {
-      ss.validated.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ss.validated[i].p = ss.cand[i].p;
-        ss.validated[i].rem = ss.d_range[i];
-      }
-      res.tube_range.resize(n);
-      res.at_end.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        res.tube_range[i] = taylor::dual_tm_range(env, ss.validated[i]);
-        taylor::dual_tm_subst_last_into(env, ss.validated[i], h,
-                                        res.at_end[i]);
-      }
-      // Step-controller signals, value channel only (same bits as scalar).
-      res.attempts = attempt;
-      res.max_poly_terms = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double tube_rad = res.tube_range[i].v.rad();
-        if (tube_rad > 0.0) {
-          const double rel = ss.d_range[i].v.rad() / tube_rad;
-          if (rel > res.defect_rel) res.defect_rel = rel;
-        }
-        res.max_poly_terms =
-            std::max(res.max_poly_terms, ss.validated[i].p.val.term_count());
-      }
-      res.ok = true;
-      return;
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-      ss.rem_j[i] =
-          interval::dual_widen(interval::dual_hull(ss.rem_j[i], ss.d_range[i]),
-                               opt.rem_inflate, opt.rem_init);
-    }
-  }
-
-  res.attempts = opt.max_inflations + 1;
-  res.failure = "remainder validation failed (Picard operator not contracting)";
-}
-
 namespace {
+
+// The dynamics' polynomials as dual polynomials with zero tangents (the
+// vector field does not depend on the controller's parameters), composed
+// through the shared TM kernels like PolyTmDynamics::eval_into.
+struct DualPolyDynamics {
+  std::vector<DualPoly> f;
+
+  std::size_t state_dim() const { return f.size(); }
+  bool replay_safe() const { return true; }
+  void eval_into(const DualTmEnv& env, const DualTmVec& args,
+                 DualTmVec& out) const {
+    out.resize(f.size());
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      taylor::tm_eval_poly_into(env, f[i], args, out[i]);
+    }
+  }
+};
 
 // Dual controller abstraction. Linear: tm_affine row by row, with weight
 // (i, j) seeded along parameter direction i * cols + j (the row-major
@@ -234,7 +77,7 @@ DualTmVec dual_abstract(const DualTmEnv& env, const DualTmVec& x,
       fo.tan[k * nb + j].add_term(pc->basis()[j], 1.0);
     }
     DualTm uk;
-    taylor::dual_tm_eval_poly_into(env, fo, x, uk);
+    taylor::tm_eval_poly_into(env, fo, x, uk);
     u.push_back(std::move(uk));
   }
   return u;
@@ -250,19 +93,19 @@ DualTmVec dual_reinitialize(const DualTmEnv& env, const DualTmVec& x,
   const std::size_t n = x.size();
   const std::size_t nd = env.dirs;
   const IVec unit(n, Interval(-1.0, 1.0));
-  poly::DualPolyScratch& dps = env.scratch().dps;
+  poly::DualPolyScratch& dps = env.scratch().pscratch;
 
   const auto box_reinit = [&]() {
     DualTmVec fresh(n);
     for (std::size_t i = 0; i < n; ++i) {
       Poly p = Poly::constant(n, end_range[i].v.mid()) +
                Poly::variable(n, i) * end_range[i].v.rad();
-      fresh[i].p.val = std::move(p);
-      fresh[i].p.tan.assign(nd, Poly(n));
+      fresh[i].poly.val = std::move(p);
+      fresh[i].poly.tan.assign(nd, Poly(n));
       const std::uint64_t vkey = 1ull << poly::key_shift(n, i);
       for (std::size_t k = 0; k < nd; ++k) {
-        fresh[i].p.tan[k].add_term_key(0, end_range[i].dmid(k));
-        fresh[i].p.tan[k].add_term_key(vkey, end_range[i].drad(k));
+        fresh[i].poly.tan[k].add_term_key(0, end_range[i].dmid(k));
+        fresh[i].poly.tan[k].add_term_key(vkey, end_range[i].drad(k));
       }
       fresh[i].rem = DualInterval::constant(Interval(0.0), nd);
     }
@@ -280,7 +123,7 @@ DualTmVec dual_reinitialize(const DualTmEnv& env, const DualTmVec& x,
   DualPoly nonlin;
   for (std::size_t i = 0; i < n; ++i) {
     nonlin.reset(n, nd);
-    for (const auto& [key, coeff] : x[i].p.val.terms()) {
+    for (const auto& [key, coeff] : x[i].poly.val.terms()) {
       const std::uint32_t deg = poly::key_degree(key, n);
       if (deg == 0) {
         c[i] = coeff;
@@ -293,7 +136,7 @@ DualTmVec dual_reinitialize(const DualTmEnv& env, const DualTmVec& x,
       }
     }
     for (std::size_t k = 0; k < nd; ++k) {
-      for (const auto& [key, coeff] : x[i].p.tan[k].terms()) {
+      for (const auto& [key, coeff] : x[i].poly.tan[k].terms()) {
         const std::uint32_t deg = poly::key_degree(key, n);
         if (deg == 0) {
           dc[k][i] = coeff;
@@ -373,12 +216,12 @@ DualTmVec dual_reinitialize(const DualTmEnv& env, const DualTmVec& x,
     for (std::size_t j = 0; j < n; ++j) {
       if (ap(i, j) != 0.0) p += Poly::variable(n, j) * ap(i, j);
     }
-    fresh[i].p.val = std::move(p);
-    fresh[i].p.tan.assign(nd, Poly(n));
+    fresh[i].poly.val = std::move(p);
+    fresh[i].poly.tan.assign(nd, Poly(n));
     for (std::size_t k = 0; k < nd; ++k) {
-      fresh[i].p.tan[k].add_term_key(0, dc[k][i]);
+      fresh[i].poly.tan[k].add_term_key(0, dc[k][i]);
       for (std::size_t j = 0; j < n; ++j) {
-        fresh[i].p.tan[k].add_term_key(1ull << poly::key_shift(n, j),
+        fresh[i].poly.tan[k].add_term_key(1ull << poly::key_shift(n, j),
                                        dap[k](i, j));
       }
     }
@@ -437,10 +280,10 @@ GradFlowpipe TmGradient::compute(const geom::Box& x0,
   env.dirs = nd;
 
   const auto* pd = static_cast<const PolyTmDynamics*>(dynamics_.get());
-  std::vector<DualPoly> fd;
-  fd.reserve(pd->polys().size());
+  DualPolyDynamics dyn;
+  dyn.f.reserve(pd->polys().size());
   for (const Poly& f : pd->polys()) {
-    fd.push_back(DualPoly::constant_like(f, nd));
+    dyn.f.push_back(DualPoly::constant_like(f, nd));
   }
 
   GradFlowpipe out;
@@ -454,8 +297,8 @@ GradFlowpipe TmGradient::compute(const geom::Box& x0,
   DualTmVec x(n);
   for (std::size_t i = 0; i < n; ++i) {
     Poly p = Poly::constant(n, cc[i]) + Poly::variable(n, i) * rr[i];
-    x[i].p.val = std::move(p);
-    x[i].p.tan.assign(nd, Poly(n));
+    x[i].poly.val = std::move(p);
+    x[i].poly.tan.assign(nd, Poly(n));
     x[i].rem = DualInterval::constant(Interval(0.0), nd);
   }
 
@@ -472,8 +315,8 @@ GradFlowpipe TmGradient::compute(const geom::Box& x0,
     out.step_sets_d.push_back(std::move(d0));
   }
 
-  DualStepScratch ss;
-  DualStepResult sr;
+  StepResult<DualTm, std::vector<DualInterval>> sr;
+  sr.want_tube_tm = false;
 
   // The dual pass derives the step schedule independently (the fixed grid
   // unless adaptive): the controller's signals come from the value
@@ -495,7 +338,7 @@ GradFlowpipe TmGradient::compute(const geom::Box& x0,
     while (!sc.period_done()) {
       const StepDecision d = sc.next();
       env.order = d.order;
-      dual_integrate_step(env, x, u, fd, d.h, opt_, ss, sr);
+      integrate_step(env, x, u, dyn, d.h, opt_, sr);
       if (!sr.ok) {
         if (sc.reject()) continue;
         fp.valid = false;
@@ -525,7 +368,7 @@ GradFlowpipe TmGradient::compute(const geom::Box& x0,
       fp.interval_hulls.emplace_back(ph);
       out.interval_hulls_d.push_back(std::move(period_hull));
     }
-    std::vector<DualInterval> end_d = taylor::dual_tm_vec_range(env, x);
+    std::vector<DualInterval> end_d = taylor::tm_vec_range(env, x);
     IVec end_range(n);
     for (std::size_t i = 0; i < n; ++i) end_range[i] = end_d[i].v;
     fp.step_sets.emplace_back(end_range);

@@ -1,8 +1,11 @@
 // Forward-mode gradient of the Taylor-model flowpipe w.r.t. controller
-// parameters: one dual pass through TmVerifier's exact scalar pipeline
-// (same kernels on the value channel, operation for operation) produces the
+// parameters: one dual pass through TmVerifier's pipeline produces the
 // flowpipe boxes AND their Jacobians d(box endpoints)/d(theta) in a single
-// verifier-call-equivalent computation.
+// verifier-call-equivalent computation. The validated Picard step and the
+// TM kernels it runs are the scalar code instantiated on dual models
+// (reach/tm_step.hpp, taylor/tm_kernels.hpp). The controller abstraction,
+// the state re-initialization and the period loop are dual versions of
+// the scalar driver's, kept in this file.
 //
 // Soundness split: the VALUE channel is bit-identical to
 // TmVerifier::compute — every branch decision (remainder containment,
@@ -42,44 +45,6 @@ struct GradFlowpipe {
   /// Dual bounds of fp.interval_hulls[s][i].
   std::vector<std::vector<interval::DualInterval>> interval_hulls_d;
 };
-
-/// One dual-validated integration step (mirrors TmStepResult for the
-/// gradient driver; tube models are not recorded — no symbolic prefix).
-struct DualStepResult {
-  taylor::DualTmVec at_end;
-  std::vector<interval::DualInterval> tube_range;
-  bool ok = false;
-  std::string failure;
-  /// Step-controller signals (see reach::StepSignals), computed from the
-  /// VALUE channel only — the same bits the scalar TmStepResult carries,
-  /// so the dual pass derives the identical adaptive schedule.
-  std::size_t attempts = 0;
-  std::size_t conv_index = 0;
-  double defect_rel = 0.0;
-  /// Largest term count over the validated VALUE polynomials — the dual
-  /// kernels keep the value channel's term vector identical to the scalar
-  /// pipeline's, so this matches TmStepResult::max_poly_terms bitwise.
-  std::size_t max_poly_terms = 0;
-};
-
-/// Scratch for dual_integrate_step (the dual analogue of the step buffers
-/// in taylor::TmScratch); owned by the driver, reused across substeps.
-struct DualStepScratch {
-  taylor::DualTmVec x0, u, args, g, phi, picard_out, cand, pnext, validated;
-  std::vector<interval::DualInterval> rem_j, d_range;
-};
-
-/// Dual mirror of reach::tm_integrate_step's scalar (tape-off) path: the
-/// value channel performs the identical Picard fixpoint + remainder
-/// validation; tangents ride along. `fd` is the dynamics' dual polynomials
-/// (value = f_i, tangents as supplied — zero for parameter-independent
-/// dynamics).
-void dual_integrate_step(const taylor::DualTmEnv& env_set,
-                         const taylor::DualTmVec& state,
-                         const taylor::DualTmVec& control,
-                         const std::vector<poly::DualPoly>& fd, double h,
-                         const TmReachOptions& opt, DualStepScratch& ss,
-                         DualStepResult& res);
 
 /// Forward-mode gradient engine over a TmVerifier configuration.
 class TmGradient {

@@ -83,13 +83,16 @@ struct TmReachOptions {
 };
 
 /// One validated integration step: enclosure over [0, h] and at t = h.
-struct TmStepResult {
-  taylor::TmVec at_end;        ///< state TMs at tau = h (tau substituted)
-  interval::IVec tube_range;   ///< box hull of the enclosure over [0, h]
+/// `Model` is the Taylor-model type (TaylorModel, or the gradient pass's
+/// taylor::DualTm) and `Ranges` the box type of its ranges.
+template <class Model, class Ranges>
+struct StepResult {
+  std::vector<Model> at_end;  ///< state TMs at tau = h (tau substituted)
+  Ranges tube_range;          ///< box hull of the enclosure over [0, h]
   /// Validated symbolic tube models over (set vars..., tau in [0, h]) —
   /// the functional enclosure `tube_range` is the box hull of. Kept so the
   /// branch-and-refine prefix reuse can restrict them to sub-domains.
-  taylor::TmVec tube_tm;
+  std::vector<Model> tube_tm;
   /// Input flag: when false, the step skips materializing `tube_tm`
   /// (leaving it untouched) — for drivers that are not recording a
   /// symbolic prefix. Everything else is unaffected.
@@ -97,22 +100,22 @@ struct TmStepResult {
   bool ok = false;
   std::string failure;
 
-  // Controller signals of the step (reach::StepSignals semantics),
-  // computed on every path — scalar, streaming, and the gradient dual
-  // pass reproduce the same bits. attempts is the index of the
-  // remainder-validation attempt that proved containment; conv_index the
-  // Picard pass at which the polynomial fixpoint converged bitwise
-  // (picard-iteration count when never observed); defect_rel the largest
-  // defect-range radius relative to the tube-range radius.
+  // Controller signals of the step (reach::StepSignals semantics), read
+  // off the value channel, so every driver derives the same bits.
+  // attempts is the index of the remainder-validation attempt that proved
+  // containment; conv_index the Picard pass at which the polynomial
+  // fixpoint converged bitwise (picard-iteration count when never
+  // observed); defect_rel the largest defect-range radius relative to the
+  // tube-range radius.
   std::size_t attempts = 0;
   std::size_t conv_index = 0;
   double defect_rel = 0.0;
   /// Largest term count over the validated state polynomials — the cost
   /// signal the controller's grow gate compares against the dense basis.
-  /// Term counts of validated polys are part of the value channel, so the
-  /// signal is bit-identical across scalar/batch/dual drivers.
   std::size_t max_poly_terms = 0;
 };
+
+using TmStepResult = StepResult<taylor::TaylorModel, interval::IVec>;
 
 /// Integrates x' = f(x, u) for tau in [0, h] with u held constant (as TMs
 /// over the set variables). `env_set` is the environment WITHOUT the time
@@ -255,9 +258,9 @@ class TmVerifier final : public Verifier {
       const std::vector<TmBatchJob>& jobs, std::size_t width = 0,
       std::size_t threads = 1) const;
 
-  // Configuration accessors for drivers that re-run this verifier's exact
-  // pipeline with extra channels (reach::TmGradient mirrors the scalar
-  // compute() path with forward-mode tangents riding along).
+  // Configuration accessors for drivers that run this verifier's pipeline
+  // on other models (reach::TmGradient runs the compute() step on dual
+  // models, so forward-mode tangents ride along).
   const TmReachOptions& options() const { return opt_; }
   const ode::ReachAvoidSpec& spec() const { return spec_; }
   const ode::SystemPtr& system() const { return sys_; }

@@ -1,8 +1,9 @@
 #include "taylor/dual_tm.hpp"
 
 #include <cassert>
-#include <stdexcept>
 #include <utility>
+
+#include "taylor/tm_kernels.hpp"
 
 namespace dwv::taylor {
 
@@ -11,46 +12,25 @@ using interval::Interval;
 using poly::DualPoly;
 using poly::Poly;
 
-DualInterval dual_poly_range(const DualTmEnv& env, const DualPoly& p) {
-  return poly::dual_range(p, env.dom, env.scratch().dps);
-}
-
 DualTm dual_tm_add(const DualTm& a, const DualTm& b) {
-  assert(a.p.dirs() == b.p.dirs());
   DualTm r;
-  r.p.tan.resize(a.p.dirs());
-  Poly::add_into(a.p.val, b.p.val, r.p.val);
-  for (std::size_t k = 0; k < a.p.dirs(); ++k) {
-    Poly::add_into(a.p.tan[k], b.p.tan[k], r.p.tan[k]);
-  }
-  r.rem = dual_add(a.rem, b.rem);
-  return r;
-}
-
-DualTm dual_tm_sub(const DualTm& a, const DualTm& b) {
-  assert(a.p.dirs() == b.p.dirs());
-  DualTm r;
-  r.p.tan.resize(a.p.dirs());
-  Poly::sub_into(a.p.val, b.p.val, r.p.val);
-  for (std::size_t k = 0; k < a.p.dirs(); ++k) {
-    Poly::sub_into(a.p.tan[k], b.p.tan[k], r.p.tan[k]);
-  }
-  r.rem = dual_sub(a.rem, b.rem);
+  DualPoly::add_into(a.poly, b.poly, r.poly);
+  r.rem = a.rem + b.rem;
   return r;
 }
 
 DualTm dual_tm_scale_dir(const DualTm& a, double s, std::size_t dir) {
-  const std::size_t nd = a.p.dirs();
+  const std::size_t nd = a.poly.dirs();
   DualTm r;
-  r.p.val = a.p.val * s;
-  r.p.tan.resize(nd);
+  r.poly.val = a.poly.val * s;
+  r.poly.tan.resize(nd);
   for (std::size_t k = 0; k < nd; ++k) {
-    r.p.tan[k] = a.p.tan[k] * s;
+    r.poly.tan[k] = a.poly.tan[k] * s;
     if (k == dir) {
       // d(s p) = s dp + p (the weight's own derivative is 1 along dir).
       Poly tmp;
-      Poly::add_into(r.p.tan[k], a.p.val, tmp);
-      r.p.tan[k] = std::move(tmp);
+      Poly::add_into(r.poly.tan[k], a.poly.val, tmp);
+      r.poly.tan[k] = std::move(tmp);
     }
   }
   DualInterval si = DualInterval::constant(Interval(s), nd);
@@ -62,27 +42,23 @@ DualTm dual_tm_scale_dir(const DualTm& a, double s, std::size_t dir) {
   return r;
 }
 
-DualTm dual_tm_scale(const DualTm& a, double s) {
-  return dual_tm_scale_dir(a, s, kNoDir);
-}
-
-void dual_tm_truncate_inplace(const DualTmEnv& env, DualTm& tm) {
+void tm_truncate_inplace(const DualTmEnv& env, DualTm& tm) {
   DualTmScratch& s = env.scratch();
   const std::size_t nd = env.dirs;
 
   // Degree split is structural (theta-independent), so both channels split.
-  tm.p.val.split_by_degree_into(env.order, s.dropped.val);
+  tm.poly.val.split_by_degree_into(env.order, s.dropped.val);
   s.dropped.tan.resize(nd);
   bool tan_dropped = false;
   for (std::size_t k = 0; k < nd; ++k) {
-    tm.p.tan[k].split_by_degree_into(env.order, s.dropped.tan[k]);
+    tm.poly.tan[k].split_by_degree_into(env.order, s.dropped.tan[k]);
     tan_dropped = tan_dropped || !s.dropped.tan[k].is_zero();
   }
 
   DualInterval extra = DualInterval::constant(Interval(0.0), nd);
   const bool val_dropped = !s.dropped.val.is_zero();
   if (val_dropped || tan_dropped) {
-    const DualInterval dr = poly::dual_range(s.dropped, env.dom, s.dps);
+    const DualInterval dr = poly::dual_range(s.dropped, env.dom, s.pscratch);
     if (val_dropped) {
       extra = dual_add(extra, dr);
     } else {
@@ -97,7 +73,7 @@ void dual_tm_truncate_inplace(const DualTmEnv& env, DualTm& tm) {
     // keys stay in the tangent polynomials: a +-h perturbation puts the
     // coefficient at ~h*dc, far above the cutoff, so perturbed runs KEEP
     // the term — the kept-path derivative is what central differences see.
-    tm.p.val.prune_small_into(env.cutoff, s.small);
+    tm.poly.val.prune_small_into(env.cutoff, s.small);
     if (!s.small.is_zero()) {
       extra = dual_add(
           extra, DualInterval::constant(s.small.eval_range(env.dom), nd));
@@ -106,210 +82,81 @@ void dual_tm_truncate_inplace(const DualTmEnv& env, DualTm& tm) {
   tm.rem = dual_add(tm.rem, extra);
 }
 
-void dual_tm_mul_into(const DualTmEnv& env, const DualTm& a, const DualTm& b,
-                      DualTm& out) {
-  assert(&out != &a && &out != &b);
-  DualTmScratch& s = env.scratch();
-  poly::dual_mul_into(a.p, b.p, out.p, s.dps);
-  const DualInterval ra = dual_poly_range(env, a.p);
-  const DualInterval rb = dual_poly_range(env, b.p);
-  // ra * b.rem + rb * a.rem + a.rem * b.rem, left-associated as scalar.
-  out.rem = dual_add(dual_add(dual_mul(ra, b.rem), dual_mul(rb, a.rem)),
-                     dual_mul(a.rem, b.rem));
-  dual_tm_truncate_inplace(env, out);
-}
-
-void dual_tm_pow_into(const DualTmEnv& env, const DualTm& a, std::uint32_t n,
-                      DualTm& out) {
-  assert(&out != &a);
-  DualTmScratch& s = env.scratch();
-  switch (n) {
-    case 0:
-      out.assign_constant(env.nvars(), env.dirs, 1.0, nullptr);
-      return;
-    case 1:
-      out = a;
-      return;
-    case 2:
-      dual_tm_mul_into(env, a, a, out);
-      return;
-    case 3:
-      dual_tm_mul_into(env, a, a, s.pow_tmp);
-      dual_tm_mul_into(env, s.pow_tmp, a, out);
-      return;
-    default:
-      break;
-  }
-  s.pow_base = a;
-  bool has_r = false;
-  std::uint32_t k = n;
-  while (k > 0) {
-    if (k & 1u) {
-      if (!has_r) {
-        out = s.pow_base;
-        has_r = true;
-      } else {
-        dual_tm_mul_into(env, out, s.pow_base, s.pow_tmp);
-        std::swap(out, s.pow_tmp);
-      }
-    }
-    k >>= 1u;
-    if (k) {
-      dual_tm_mul_into(env, s.pow_base, s.pow_base, s.pow_tmp);
-      std::swap(s.pow_base, s.pow_tmp);
-    }
-  }
-}
-
-DualInterval dual_tm_range(const DualTmEnv& env, const DualTm& tm) {
-  return dual_add(dual_poly_range(env, tm.p), tm.rem);
-}
-
-void dual_tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
-                            const DualTmVec& args, DualTm& out) {
-  assert(f.val.nvars() == args.size());
-  DualTmScratch& s = env.scratch();
-  const std::size_t nd = env.dirs;
-  const std::size_t fn = f.val.nvars();
-
-  s.acc.assign_constant(env.nvars(), nd, 0.0, nullptr);
+void assign_coefficient(const DualTmEnv& env, const DualPoly& f,
+                        std::uint64_t key, double c, DualTm& m) {
   double dc[DualInterval::kMaxDirs];
-  for (const auto& [key, c] : f.val.terms()) {
-    for (std::size_t k = 0; k < nd; ++k) {
-      dc[k] = poly::coeff_of_key(f.tan[k], key);
-    }
-    s.term.assign_constant(env.nvars(), nd, c, dc);
+  for (std::size_t k = 0; k < env.dirs; ++k) {
+    dc[k] = poly::coeff_of_key(f.tan[k], key);
+  }
+  m.assign_constant(env.nvars(), env.dirs, c, dc);
+}
+
+void add_tangent_only_terms(const DualTmEnv& env, const DualPoly& f,
+                            const DualTmVec& args, DualTm& acc) {
+  DualTmScratch& s = env.scratch();
+  poly::tangent_only_keys(f, s.fkeys);
+  if (s.fkeys.empty()) return;
+  // The remainder-channel sensitivity is the central-difference limit
+  // dc * mid2(prod.rem) on both endpoints (dual_interval.hpp).
+  const std::size_t fn = f.val.nvars();
+  TmEnv& se = s.side_env;
+  se.dom = env.dom;
+  se.order = env.order;
+  se.cutoff = env.cutoff;
+  s.side_args.resize(args.size());
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    s.side_args[i].poly = args[i].poly.val;
+    s.side_args[i].rem = args[i].rem.v;
+  }
+  for (std::uint64_t key : s.fkeys) {
+    s.side_term.assign_constant(env.nvars(), 1.0);
     for (std::size_t i = 0; i < args.size(); ++i) {
       const std::uint32_t e = poly::key_exp(key, fn, i);
       if (e == 1) {
-        dual_tm_mul_into(env, s.term, args[i], s.mul_out);
-        std::swap(s.term, s.mul_out);
+        tm_mul_into(se, s.side_term, s.side_args[i], s.side_mul);
+        std::swap(s.side_term, s.side_mul);
       } else if (e > 1) {
-        dual_tm_pow_into(env, args[i], e, s.pow_out);
-        dual_tm_mul_into(env, s.term, s.pow_out, s.mul_out);
-        std::swap(s.term, s.mul_out);
+        tm_pow_into(se, s.side_args[i], e, s.side_pow);
+        tm_mul_into(se, s.side_term, s.side_pow, s.side_mul);
+        std::swap(s.side_term, s.side_mul);
       }
     }
-    Poly::add_into(s.acc.p.val, s.term.p.val, s.add_out.p.val);
-    s.add_out.p.tan.resize(nd);
-    for (std::size_t k = 0; k < nd; ++k) {
-      Poly::add_into(s.acc.p.tan[k], s.term.p.tan[k], s.add_out.p.tan[k]);
-    }
-    s.add_out.rem = dual_add(s.acc.rem, s.term.rem);
-    std::swap(s.acc, s.add_out);
-  }
-
-  // Keys present only in f's tangent channel (coefficient exactly 0 at the
-  // current parameters, derivative nonzero — e.g. a controller gain at 0).
-  // The value channel never sees them; the tangents pick up
-  // dc * (monomial product over the argument VALUE channels), evaluated at
-  // coefficient 1 through the scalar kernels in the private side env. The
-  // remainder-channel sensitivity is the central-difference limit
-  // dc * mid2(prod.rem) on both endpoints (dual_interval.hpp).
-  poly::tangent_only_keys(f, s.fkeys);
-  if (!s.fkeys.empty()) {
-    TmEnv& se = s.side_env;
-    se.dom = env.dom;
-    se.order = env.order;
-    se.cutoff = env.cutoff;
-    s.side_args.resize(args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      s.side_args[i].poly = args[i].p.val;
-      s.side_args[i].rem = args[i].rem.v;
-    }
-    for (std::uint64_t key : s.fkeys) {
-      s.side_term.assign_constant(env.nvars(), 1.0);
-      for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::uint32_t e = poly::key_exp(key, fn, i);
-        if (e == 1) {
-          tm_mul_into(se, s.side_term, s.side_args[i], s.side_mul);
-          std::swap(s.side_term, s.side_mul);
-        } else if (e > 1) {
-          tm_pow_into(se, s.side_args[i], e, s.side_pow);
-          tm_mul_into(se, s.side_term, s.side_pow, s.side_mul);
-          std::swap(s.side_term, s.side_mul);
-        }
-      }
-      const double m2 = interval::mid2(s.side_term.rem);
-      for (std::size_t k = 0; k < nd; ++k) {
-        const double d = poly::coeff_of_key(f.tan[k], key);
-        if (d == 0.0) continue;
-        s.dps.t1 = s.side_term.poly;
-        s.dps.t1 *= d;
-        Poly::add_into(s.acc.p.tan[k], s.dps.t1, s.dps.t2);
-        std::swap(s.acc.p.tan[k], s.dps.t2);
-        s.acc.rem.dlo[k] += d * m2;
-        s.acc.rem.dhi[k] += d * m2;
-      }
+    const double m2 = interval::mid2(s.side_term.rem);
+    for (std::size_t k = 0; k < env.dirs; ++k) {
+      const double d = poly::coeff_of_key(f.tan[k], key);
+      if (d == 0.0) continue;
+      s.pscratch.t1 = s.side_term.poly;
+      s.pscratch.t1 *= d;
+      Poly::add_into(acc.poly.tan[k], s.pscratch.t1, s.pscratch.t2);
+      std::swap(acc.poly.tan[k], s.pscratch.t2);
+      acc.rem.dlo[k] += d * m2;
+      acc.rem.dhi[k] += d * m2;
     }
   }
-
-  std::swap(out, s.acc);
-  dual_tm_truncate_inplace(env, out);
 }
 
-void dual_tm_integrate_time_into(const DualTmEnv& env, const DualTm& tm,
-                                 std::size_t time_var, DualTm& out) {
-  assert(time_var < env.nvars());
-  assert(&out != &tm);
-  const std::size_t nd = env.dirs;
-  const std::size_t nv = tm.p.val.nvars();
-  out.p.reset(nv, nd);
-  const std::uint64_t unit = 1ull << poly::key_shift(nv, time_var);
-  const std::uint32_t cap = poly::key_max_exp(nv);
-  const auto integrate_channel = [&](const Poly& in, Poly& dst) {
-    for (const auto& [key, c] : in.terms()) {
-      const std::uint32_t e2t = poly::key_exp(key, nv, time_var) + 1;
-      if (e2t > cap) {
-        throw std::overflow_error(
-            "tm_integrate_time: time exponent exceeds the packed-key budget");
-      }
-      const double q = c / static_cast<double>(e2t);
-      if (q == 0.0) continue;
-      dst.push_term(key + unit, q);
-    }
-  };
-  integrate_channel(tm.p.val, out.p.val);
-  for (std::size_t k = 0; k < nd; ++k) {
-    integrate_channel(tm.p.tan[k], out.p.tan[k]);
-  }
-  const double tmax = env.dom[time_var].mag();
-  out.rem = dual_hull(DualInterval::constant(Interval(0.0), nd),
-                      dual_mul_const(tm.rem, Interval(tmax)));
-  dual_tm_truncate_inplace(env, out);
+void tm_eval_poly_into(const DualTmEnv& env, const DualPoly& f,
+                       const DualTmVec& args, DualTm& out) {
+  kernels::eval_poly_into(env, f, args, out);
 }
 
-void dual_tm_subst_last_into(const DualTmEnv& env, const DualTm& tm, double c,
-                             DualTm& out) {
-  const std::size_t nd = env.dirs;
-  const std::size_t nv = tm.p.val.nvars();
-  assert(nv >= 1);
-  assert(&out != &tm);
-  const std::size_t new_nv = nv - 1;
-  out.p.reset(new_nv, nd);
-  poly::PolyScratch& ps = env.scratch().dps.ps;
-  std::vector<poly::Term>& buf = ps.prod;
-  const std::uint32_t new_bits = poly::key_bits(new_nv);
-  const auto subst_channel = [&](const Poly& in, Poly& dst) {
-    buf.clear();
-    for (const auto& [key, coeff] : in.terms()) {
-      double scale = 1.0;
-      const std::uint32_t e = poly::key_exp(key, nv, nv - 1);
-      for (std::uint32_t k = 0; k < e; ++k) scale *= c;
-      std::uint64_t k2 = 0;
-      for (std::size_t i = 0; i < new_nv; ++i) {
-        k2 = (k2 << new_bits) |
-             static_cast<std::uint64_t>(poly::key_exp(key, nv, i));
-      }
-      buf.push_back({k2, coeff * scale});
-    }
-    Poly::coalesce_into(buf, dst);
-  };
-  subst_channel(tm.p.val, out.p.val);
-  for (std::size_t k = 0; k < nd; ++k) {
-    subst_channel(tm.p.tan[k], out.p.tan[k]);
-  }
-  out.rem = tm.rem;
+void tm_integrate_time_into(const DualTmEnv& env, const DualTm& tm,
+                            std::size_t time_var, DualTm& out) {
+  kernels::integrate_time_into(env, tm, time_var, out);
+}
+
+void tm_subst_last_into(const DualTmEnv& env, const DualTm& tm, double c,
+                        DualTm& out) {
+  kernels::subst_last_into(env, tm, c, out);
+}
+
+DualInterval tm_range(const DualTmEnv& env, const DualTm& tm) {
+  return kernels::range(env, tm);
+}
+
+std::vector<DualInterval> tm_vec_range(const DualTmEnv& env,
+                                       const DualTmVec& v) {
+  return kernels::vec_range<std::vector<DualInterval>>(env, v);
 }
 
 DualTm dual_tm_affine(const DualTmEnv& env, const DualTmVec& in,
@@ -329,22 +176,15 @@ DualTm dual_tm_affine(const DualTmEnv& env, const DualTmVec& in,
       // mid2(in_j.rem) onto both remainder endpoints.
       const std::size_t k = wdir[j];
       Poly tmp;
-      Poly::add_into(acc.p.tan[k], in[j].p.val, tmp);
-      acc.p.tan[k] = std::move(tmp);
+      Poly::add_into(acc.poly.tan[k], in[j].poly.val, tmp);
+      acc.poly.tan[k] = std::move(tmp);
       const double m2 = interval::mid2(in[j].rem.v);
       acc.rem.dlo[k] += m2;
       acc.rem.dhi[k] += m2;
     }
   }
-  dual_tm_truncate_inplace(env, acc);
+  tm_truncate_inplace(env, acc);
   return acc;
-}
-
-std::vector<DualInterval> dual_tm_vec_range(const DualTmEnv& env,
-                                            const DualTmVec& v) {
-  std::vector<DualInterval> r(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) r[i] = dual_tm_range(env, v[i]);
-  return r;
 }
 
 }  // namespace dwv::taylor

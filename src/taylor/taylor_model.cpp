@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "taylor/tm_kernels.hpp"
+
 namespace dwv::taylor {
 
 using interval::Interval;
@@ -61,31 +63,7 @@ TaylorModel tm_truncate(const TmEnv& env, TaylorModel tm) {
 
 void tm_mul_into(const TmEnv& env, const TaylorModel& a, const TaylorModel& b,
                  TaylorModel& out) {
-  assert(&out != &a && &out != &b);
-  TmScratch& s = env.scratch();
-  if (s.rem_tape.mode == RemTape::kReplay) {
-    const Interval ra = s.rem_tape.next();
-    const Interval rb = s.rem_tape.next();
-    out.rem = ra * b.rem + rb * a.rem + a.rem * b.rem;
-    tm_truncate_inplace(env, out);
-    return;
-  }
-  if (s.poly_only) {
-    Poly::mul_into(a.poly, b.poly, out.poly, s.pscratch);
-    out.rem = Interval(0.0);
-    tm_truncate_inplace(env, out);
-    return;
-  }
-  // (pa + Ia)(pb + Ib) = pa pb + pa Ib + pb Ia + Ia Ib.
-  Poly::mul_into(a.poly, b.poly, out.poly, s.pscratch);
-  const Interval ra = env.poly_range(a.poly);
-  const Interval rb = env.poly_range(b.poly);
-  if (s.rem_tape.mode == RemTape::kRecord) {
-    s.rem_tape.push(ra);
-    s.rem_tape.push(rb);
-  }
-  out.rem = ra * b.rem + rb * a.rem + a.rem * b.rem;
-  tm_truncate_inplace(env, out);
+  kernels::mul_into(env, a, b, out);
 }
 
 TaylorModel tm_mul(const TmEnv& env, const TaylorModel& a,
@@ -97,54 +75,7 @@ TaylorModel tm_mul(const TmEnv& env, const TaylorModel& a,
 
 void tm_pow_into(const TmEnv& env, const TaylorModel& a, std::uint32_t n,
                  TaylorModel& out) {
-  assert(&out != &a);
-  TmScratch& s = env.scratch();
-  // In replay mode the copies below move only the remainder: the poly
-  // channel is never read (tm_mul_into takes its operand ranges from the
-  // tape) and output polys are dead.
-  const bool rp = s.rem_tape.mode == RemTape::kReplay;
-  switch (n) {
-    case 0:
-      if (rp) out.rem = Interval(0.0);
-      else out.assign_constant(env.nvars(), 1.0);
-      return;
-    case 1:
-      if (rp) out.rem = a.rem;
-      else out = a;
-      return;
-    case 2:
-      tm_mul_into(env, a, a, out);
-      return;
-    case 3:
-      // Legacy left-to-right chain ((a*a)*a), kept bit-identical.
-      tm_mul_into(env, a, a, s.pow_tmp);
-      tm_mul_into(env, s.pow_tmp, a, out);
-      return;
-    default:
-      break;
-  }
-  // Square-and-multiply; tm_mul truncates, so each squaring is truncated.
-  if (rp) s.pow_base.rem = a.rem;
-  else s.pow_base = a;
-  bool has_r = false;
-  std::uint32_t k = n;
-  while (k > 0) {
-    if (k & 1u) {
-      if (!has_r) {
-        if (rp) out.rem = s.pow_base.rem;
-        else out = s.pow_base;
-        has_r = true;
-      } else {
-        tm_mul_into(env, out, s.pow_base, s.pow_tmp);
-        std::swap(out, s.pow_tmp);
-      }
-    }
-    k >>= 1u;
-    if (k) {
-      tm_mul_into(env, s.pow_base, s.pow_base, s.pow_tmp);
-      std::swap(s.pow_base, s.pow_tmp);
-    }
-  }
+  kernels::pow_into(env, a, n, out);
 }
 
 TaylorModel tm_pow(const TmEnv& env, const TaylorModel& a, std::uint32_t n) {
@@ -154,41 +85,12 @@ TaylorModel tm_pow(const TmEnv& env, const TaylorModel& a, std::uint32_t n) {
 }
 
 interval::Interval tm_range(const TmEnv& env, const TaylorModel& tm) {
-  return env.poly_range(tm.poly) + tm.rem;
+  return kernels::range(env, tm);
 }
 
 void tm_eval_poly_into(const TmEnv& env, const poly::Poly& f,
                        const TmVec& args, TaylorModel& out) {
-  assert(f.nvars() == args.size());
-  TmScratch& s = env.scratch();
-  // Replay: same op sequence (f's terms and exponents fix the loop shape),
-  // remainder arithmetic only; the poly adds are dead in replay because
-  // every consumer takes its poly-derived constants from the tape.
-  const bool rp = s.rem_tape.mode == RemTape::kReplay;
-  if (rp) s.acc.rem = Interval(0.0);
-  else s.acc.assign_constant(env.nvars(), 0.0);
-  for (const auto& [key, c] : f.terms()) {
-    if (rp) s.term.rem = Interval(0.0);
-    else s.term.assign_constant(env.nvars(), c);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      const std::uint32_t e = poly::key_exp(key, f.nvars(), i);
-      if (e == 1) {
-        // a^1 is a; multiplying by the argument directly skips tm_pow's
-        // copy of it (the mul reads the same operand values either way).
-        tm_mul_into(env, s.term, args[i], s.mul_out);
-        std::swap(s.term, s.mul_out);
-      } else if (e > 1) {
-        tm_pow_into(env, args[i], e, s.pow_out);
-        tm_mul_into(env, s.term, s.pow_out, s.mul_out);
-        std::swap(s.term, s.mul_out);
-      }
-    }
-    if (!rp) Poly::add_into(s.acc.poly, s.term.poly, s.add_out.poly);
-    s.add_out.rem = s.acc.rem + s.term.rem;
-    std::swap(s.acc, s.add_out);
-  }
-  std::swap(out, s.acc);
-  tm_truncate_inplace(env, out);
+  kernels::eval_poly_into(env, f, args, out);
 }
 
 TaylorModel tm_eval_poly(const TmEnv& env, const poly::Poly& f,
@@ -200,38 +102,7 @@ TaylorModel tm_eval_poly(const TmEnv& env, const poly::Poly& f,
 
 void tm_integrate_time_into(const TmEnv& env, const TaylorModel& tm,
                             std::size_t time_var, TaylorModel& out) {
-  assert(time_var < env.nvars());
-  assert(&out != &tm);
-  if (env.scratch().rem_tape.mode == RemTape::kReplay) {
-    const double rtmax = env.dom[time_var].mag();
-    out.rem = interval::hull(Interval(0.0), tm.rem * Interval(rtmax));
-    tm_truncate_inplace(env, out);
-    return;
-  }
-  const std::size_t nv = tm.poly.nvars();
-  out.poly.reset(nv);
-  const std::uint64_t unit = 1ull << poly::key_shift(nv, time_var);
-  const std::uint32_t cap = poly::key_max_exp(nv);
-  // Adding `unit` to every key preserves order and injectivity, so terms
-  // can be appended directly; zero quotients are skipped like add_term.
-  for (const auto& [key, c] : tm.poly.terms()) {
-    const std::uint32_t e2t = poly::key_exp(key, nv, time_var) + 1;
-    if (e2t > cap) {
-      throw std::overflow_error(
-          "tm_integrate_time: time exponent exceeds the packed-key budget");
-    }
-    const double q = c / static_cast<double>(e2t);
-    if (q == 0.0) continue;
-    out.poly.push_term(key + unit, q);
-  }
-  // integral_0^tau e dtau' for |tau| <= tmax: contained in hull(0, rem*tmax).
-  if (env.scratch().poly_only) {
-    out.rem = Interval(0.0);
-  } else {
-    const double tmax = env.dom[time_var].mag();
-    out.rem = interval::hull(Interval(0.0), tm.rem * Interval(tmax));
-  }
-  tm_truncate_inplace(env, out);
+  kernels::integrate_time_into(env, tm, time_var, out);
 }
 
 TaylorModel tm_integrate_time(const TmEnv& env, const TaylorModel& tm,
@@ -276,32 +147,7 @@ TaylorModel tm_subst_var(const TmEnv& env, const TaylorModel& tm,
 
 void tm_subst_last_into(const TmEnv& env, const TaylorModel& tm, double c,
                         TaylorModel& out) {
-  const std::size_t nv = tm.poly.nvars();
-  assert(nv >= 1);
-  assert(env.dom[nv - 1].contains(c) && "substitution outside domain");
-  assert(&out != &tm);
-  const std::size_t new_nv = nv - 1;
-  out.poly.reset(new_nv);
-  poly::PolyScratch& ps = env.scratch().pscratch;
-  std::vector<poly::Term>& buf = ps.prod;
-  buf.clear();
-  const std::uint32_t new_bits = poly::key_bits(new_nv);
-  for (const auto& [key, coeff] : tm.poly.terms()) {
-    // Same repeated-multiplication power as tm_subst_var_into.
-    double scale = 1.0;
-    const std::uint32_t e = poly::key_exp(key, nv, nv - 1);
-    for (std::uint32_t k = 0; k < e; ++k) scale *= c;
-    // Re-pack without the substituted (least significant) field. Dropping a
-    // field widens the per-field layout, so no exponent can overflow.
-    std::uint64_t k2 = 0;
-    for (std::size_t i = 0; i < new_nv; ++i) {
-      k2 = (k2 << new_bits) |
-           static_cast<std::uint64_t>(poly::key_exp(key, nv, i));
-    }
-    buf.push_back({k2, coeff * scale});
-  }
-  Poly::coalesce_into(buf, out.poly);
-  out.rem = tm.rem;
+  kernels::subst_last_into(env, tm, c, out);
 }
 
 double tm_eval_mid(const TaylorModel& tm, const linalg::Vec& x) {
@@ -309,9 +155,7 @@ double tm_eval_mid(const TaylorModel& tm, const linalg::Vec& x) {
 }
 
 interval::IVec tm_vec_range(const TmEnv& env, const TmVec& v) {
-  interval::IVec r(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) r[i] = tm_range(env, v[i]);
-  return r;
+  return kernels::vec_range<interval::IVec>(env, v);
 }
 
 }  // namespace dwv::taylor

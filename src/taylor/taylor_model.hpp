@@ -108,14 +108,17 @@ using TmVec = std::vector<TaylorModel>;
 /// Kernels leave the output polynomial untouched in replay mode; the
 /// driver is responsible for materializing any output poly it still needs
 /// (reach::tm_integrate_step copies the converged fixpoint polynomial).
-struct RemTape {
+/// `Rem` is the model's remainder type; only streaming scalar lanes ever
+/// enable a tape.
+template <class Rem>
+struct BasicRemTape {
   enum Mode : int { kOff = 0, kRecord = 1, kReplay = 2 };
   /// Opt-in switch read by reach::tm_integrate_step (set by streaming
   /// drivers such as TmVerifier's lockstep lane pool); the kernels only
   /// look at `mode`.
   bool enabled = false;
   int mode = kOff;
-  std::vector<interval::Interval> consts;
+  std::vector<Rem> consts;
   std::size_t pos = 0;  ///< replay cursor
 
   void start_record() {
@@ -127,46 +130,42 @@ struct RemTape {
     mode = kReplay;
   }
   void stop() { mode = kOff; }
-  void push(interval::Interval v) { consts.push_back(v); }
-  interval::Interval next() { return consts[pos++]; }
+  void push(const Rem& v) { consts.push_back(v); }
+  Rem next() { return consts[pos++]; }
 };
+using RemTape = BasicRemTape<interval::Interval>;
 
-/// Reusable buffers for allocation-free TM arithmetic. Owned by a TmEnv and
-/// handed to every `*_into` kernel through env.scratch(). Buffer ownership
-/// is static (each kernel touches a fixed, disjoint subset — see DESIGN.md
-/// section 9), so kernels can nest without clobbering each other:
-///  - Poly layer: pscratch (multiply/sort), dropped/small (truncation).
-///  - tm_mul_into: leaf — uses only the Poly-layer buffers.
-///  - tm_pow_into: pow_base, pow_tmp (and the Poly layer via tm_mul_into).
+/// The buffers of the TM kernels and of the Picard step
+/// (reach::tm_integrate_step), written once for every model type: the
+/// scalar TmScratch holds them for TaylorModel, the gradient pass's
+/// DualTmScratch for dual models. Buffer ownership is static (each kernel
+/// touches a fixed, disjoint subset — see DESIGN.md section 9), so kernels
+/// can nest without clobbering each other:
+///  - tm_mul_into: leaf — uses only the model's polynomial scratch.
+///  - tm_pow_into: pow_base, pow_tmp (and the leaf via tm_mul_into).
 ///  - tm_eval_poly_into: acc, term, add_out, mul_out, pow_out (and tm_pow).
-///  - tm_subst_var_into: pscratch (as the term stream buffer).
-///  - Flowpipe step (tm_integrate_step): the step workspace below.
-struct TmScratch {
-  // Poly layer.
-  poly::PolyScratch pscratch;
-  poly::Poly dropped;
-  poly::Poly small;
-  /// Shared range-bounding engine: every range query routed through a
-  /// TmEnv that owns (or borrows) this scratch reuses its per-domain
-  /// interval power tables. Private per scratch, so the engine state
-  /// follows the same no-sharing-across-threads rules as the buffers.
-  poly::RangeEngine range;
+///  - Picard step: integ, diff and the step workspace below.
+/// The remainder tape, the poly-only flag and the convergence predictor
+/// are streaming-lane state: only the scalar lane pool sets them, so the
+/// gradient pass runs the kernels' plain full-channel path.
+template <class Env, class Model>
+struct TmBuffers {
+  using Rem = decltype(Model::rem);
 
   // TM composition buffers.
-  TaylorModel acc;
-  TaylorModel term;
-  TaylorModel add_out;
-  TaylorModel mul_out;
-  TaylorModel pow_out;
-  TaylorModel pow_base;
-  TaylorModel pow_tmp;
-  TaylorModel integ;
-  TaylorModel diff;
-  TaylorModel subst;
+  Model acc;
+  Model term;
+  Model add_out;
+  Model mul_out;
+  Model pow_out;
+  Model pow_base;
+  Model pow_tmp;
+  Model integ;
+  Model diff;
 
   /// Remainder-replay tape shared by the TM kernels (record/replay of the
-  /// remainder-channel constants; see RemTape).
-  RemTape rem_tape;
+  /// remainder-channel constants; see BasicRemTape).
+  BasicRemTape<Rem> rem_tape;
   /// When set, the TM kernels compute only the polynomial channel: the
   /// remainder arithmetic — and, crucially, the range queries feeding it —
   /// is skipped and output remainders are zeroed. Sound only while the
@@ -181,27 +180,42 @@ struct TmScratch {
   /// recording has to start; 0 until first observed (record everything).
   std::size_t conv_pred = 0;
 
-  // Flowpipe-step workspace (reach::tm_integrate_step).
-  TmVec x0;
-  TmVec u;
-  TmVec args;
-  TmVec g;
-  TmVec phi;
-  TmVec picard_out;
-  TmVec cand;
-  TmVec pnext;
-  TmVec validated;
-  std::vector<interval::Interval> rem_j;
-  std::vector<interval::Interval> d_range;
+  // Picard-step workspace (reach::tm_integrate_step).
+  std::vector<Model> x0;
+  std::vector<Model> u;
+  std::vector<Model> args;
+  std::vector<Model> g;
+  std::vector<Model> phi;
+  std::vector<Model> picard_out;
+  std::vector<Model> cand;
+  std::vector<Model> pnext;
+  std::vector<Model> validated;
+  std::vector<Rem> rem_j;
+  std::vector<Rem> d_range;
   /// Per-component range of the defect polynomial P(cand)_i - cand_i.poly;
   /// fixed across validation attempts (only the remainder guess changes),
   /// so streaming lanes compute it once per step and reuse it.
-  std::vector<interval::Interval> diff_poly_range;
+  std::vector<Rem> diff_poly_range;
 
   /// The step's time-extended environment; its scratch borrows from the
   /// owner env's (aliasing pointer — no ownership cycle).
-  TmEnv env_time;
+  Env env_time;
   bool env_time_init = false;
+};
+
+/// Reusable buffers for allocation-free TM arithmetic. Owned by a TmEnv and
+/// handed to every `*_into` kernel through env.scratch(): the shared
+/// kernel and step buffers, plus the Poly layer — pscratch
+/// (multiply/sort), dropped/small (truncation) — and the range engine.
+struct TmScratch : TmBuffers<TmEnv, TaylorModel> {
+  poly::PolyScratch pscratch;
+  poly::Poly dropped;
+  poly::Poly small;
+  /// Shared range-bounding engine: every range query routed through a
+  /// TmEnv that owns (or borrows) this scratch reuses its per-domain
+  /// interval power tables. Private per scratch, so the engine state
+  /// follows the same no-sharing-across-threads rules as the buffers.
+  poly::RangeEngine range;
 };
 
 inline TmScratch& TmEnv::scratch() const {
@@ -217,6 +231,28 @@ inline void TmEnv::borrow_scratch(const TmEnv& owner) const {
 inline interval::Interval TmEnv::poly_range(const poly::Poly& p) const {
   return scratch().range.eval_range(p, dom);
 }
+
+// Model primitives the shared kernels (taylor/tm_kernels.hpp) and the
+// Picard step are written against; dual_tm.hpp supplies the DualTm
+// overloads. The remaining ones are the channel kernels of Poly, the
+// Interval operators, env.poly_range and tm_truncate_inplace.
+
+/// The remainder-type constant `x` (the interval itself).
+inline interval::Interval rem_constant(const TmEnv&, interval::Interval x) {
+  return x;
+}
+/// m = the constant c, remainder zero.
+inline void assign_constant(const TmEnv& env, TaylorModel& m, double c) {
+  m.assign_constant(env.nvars(), c);
+}
+/// m = the constant coefficient `c` of f's term `key`.
+inline void assign_coefficient(const TmEnv& env, const poly::Poly&,
+                               std::uint64_t, double c, TaylorModel& m) {
+  m.assign_constant(env.nvars(), c);
+}
+/// Terms of f that exist only in a dual tangent channel: none in a Poly.
+inline void add_tangent_only_terms(const TmEnv&, const poly::Poly&,
+                                   const TmVec&, TaylorModel&) {}
 
 TaylorModel tm_add(const TaylorModel& a, const TaylorModel& b);
 TaylorModel tm_sub(const TaylorModel& a, const TaylorModel& b);

@@ -141,8 +141,9 @@ TEST(GradFlowpipeValue, BitIdenticalToScalarVerifier) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-level finite differences: dual_tm_eval_poly_into with coefficient
-// tangents (including a tangent-only key whose value coefficient is zero).
+// Kernel-level finite differences: tm_eval_poly_into on dual models with
+// coefficient tangents (including a tangent-only key whose value
+// coefficient is zero).
 
 TEST(DualKernels, EvalPolyCoefficientTangentsMatchFd) {
   taylor::TmEnv env;
@@ -179,14 +180,14 @@ TEST(DualKernels, EvalPolyCoefficientTangentsMatchFd) {
 
   taylor::DualTmVec dargs(2);
   for (std::size_t i = 0; i < 2; ++i) {
-    dargs[i].p.val = args[i].poly;
-    dargs[i].p.tan.assign(2, poly::Poly(2));
+    dargs[i].poly.val = args[i].poly;
+    dargs[i].poly.tan.assign(2, poly::Poly(2));
     dargs[i].rem = DualInterval::constant(args[i].rem, 2);
   }
 
   taylor::DualTm dout;
-  taylor::dual_tm_eval_poly_into(denv, fd, dargs, dout);
-  const DualInterval dr = taylor::dual_tm_range(denv, dout);
+  taylor::tm_eval_poly_into(denv, fd, dargs, dout);
+  const DualInterval dr = taylor::tm_range(denv, dout);
 
   const auto scalar_range = [&](double c0, double c1) {
     const taylor::TaylorModel out =
