@@ -1,6 +1,5 @@
 #include "reach/grad_flowpipe.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>

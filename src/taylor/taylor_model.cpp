@@ -1,7 +1,6 @@
 #include "taylor/taylor_model.hpp"
 
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 #include "taylor/tm_kernels.hpp"
